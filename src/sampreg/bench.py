@@ -148,6 +148,7 @@ class CaseOutcome:
     tre_per_point: tuple
     failed: bool
     elapsed_s: float
+    error: str | None = None  # "ErrorClass: message" when registration raised
 
     @property
     def max_tre(self) -> float:
@@ -184,7 +185,8 @@ def evaluate_case(
     )
 
 
-def _failed_outcome(pair_id, sampler_kind, rate, trial_seed, n_points, elapsed_s):
+def _failed_outcome(pair_id, sampler_kind, rate, trial_seed, n_points, elapsed_s,
+                    error: ValueError):
     """Outcome for a trial whose registration raised: infinite error."""
     return CaseOutcome(
         pair_id=pair_id,
@@ -194,6 +196,7 @@ def _failed_outcome(pair_id, sampler_kind, rate, trial_seed, n_points, elapsed_s
         tre_per_point=(math.inf,) * n_points,
         failed=True,
         elapsed_s=elapsed_s,
+        error=f"{type(error).__name__}: {error}",
     )
 
 
@@ -222,8 +225,10 @@ def sweep(
 
     ``pairs`` is a sequence of (pair_id, TrainingPair).  Trial seeds derive
     from (seed, pair, trial) only, so every sampler and rate is scored on
-    the same draw sequence.  Per-case errors become failed outcomes rather
-    than aborting the sweep.  Returns {"outcomes", "aggregates"} with
+    the same draw sequence.  A case whose registration raises a
+    ``ValueError`` (every engine error is one) becomes a failed outcome that
+    records the error; any other exception is a programming error and
+    propagates.  Returns {"outcomes", "aggregates"} with
     aggregates ordered by the given sampler then rate order.
     """
     pairs = list(pairs)
@@ -255,11 +260,11 @@ def sweep(
                             trial_seed=trial_seed, elapsed_s=result.elapsed_s,
                             threshold_mm=threshold_mm,
                         ))
-                    except Exception:  # contract: a case never aborts the sweep
+                    except ValueError as e:
                         outcomes.append(_failed_outcome(
                             pair_id, kind, rate, trial_seed,
                             len(pair.probe_points),
-                            time.perf_counter() - start,
+                            time.perf_counter() - start, e,
                         ))
     aggregates = aggregate(outcomes, sampler_kinds, rates)
     return {"outcomes": outcomes, "aggregates": aggregates}

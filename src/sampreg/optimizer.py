@@ -186,6 +186,7 @@ def optimize_level(
     scale = np.array([1.0, 1.0, 1.0] + [cfg.rotation_scale] * 3)
     inv_scale = 1.0 / scale
 
+    bin_table = similarity.bin_index_table(moving, moving_range, num_bins)
     params = params0
     radius = cfg.initial_radius
     moves = []
@@ -201,7 +202,7 @@ def optimize_level(
         try:
             ev = similarity.evaluate(
                 fixed, moving, params, idx, num_bins, kernel_radius,
-                fixed_range, moving_range,
+                fixed_range, moving_range, bin_table,
             )
         except similarity.DegenerateHistogramError as e:
             raise InitializationOutsideOverlapError(
@@ -218,7 +219,7 @@ def optimize_level(
         try:
             trial_value = similarity.metric_value(
                 fixed, moving, trial, idx, num_bins, kernel_radius,
-                fixed_range, moving_range,
+                fixed_range, moving_range, bin_table,
             )
         except similarity.DegenerateHistogramError:
             trial_value = -np.inf

@@ -39,14 +39,6 @@ class SamplingDistribution:
     def num_voxels(self) -> int:
         return self.probs.size
 
-    def describe(self) -> dict:
-        d = {"kind": self.kind, "expected_count": self.expected_count}
-        if self.beta is not None:
-            d["beta"] = self.beta
-        if self.level is not None:
-            d["level"] = self.level
-        return d
-
 
 def build_urs(n: int, m: float, level: int | None = None) -> SamplingDistribution:
     """Uniform sampling: every voxel at probability min(m/n, 1)."""

@@ -10,6 +10,13 @@ the histogram depends on the transform only through those kernel weights,
 the NMI gradient follows from the kernel's analytic derivative chained with
 the transform Jacobian; no image-gradient term appears.
 
+A moving voxel's bin does not depend on the transform, so a caller that
+evaluates many transforms on one volume builds ``bin_index_table`` once; a
+sample then reads its neighbors' bins with one integer gather.  A sample
+keeps only its three per-axis weight vectors (and their derivatives), and
+the gradient is contracted against them axis by axis (as in Thevenaz &
+Unser, IEEE TIP 2000), so no draw is too large to keep between passes.
+
 The windowed sinc has negative lobes, so cells can go negative.  Mass is
 accumulated signed and log arguments are clamped at 1e-12, so a negative
 cell p lowers its entropy by |p| * ln(1e12), about 27.6|p|.  On sparse
@@ -35,10 +42,11 @@ _LOG_CLAMP = 1e-12
 # alignment signal, and registration stalls near its start; with 16 bins
 # it converges from 0.05% to 1% of the voxels.
 DEFAULT_NUM_BINS = 16
+# Histogram mass is summed per run of this many samples, then added to the total.
 _CHUNK = 131072
-# Above this many sample-neighbor pairs, gradient passes recompute geometry
-# instead of caching it (memory cap).
-_CACHE_LIMIT = 8_000_000
+# Elements per vectorized pass (sample-neighbor pairs, or voxels in
+# ``bin_index_table``), so that a pass's float64 arrays stay in cache.
+_BLOCK = 32768
 
 
 class DegenerateHistogramError(ValueError):
@@ -74,23 +82,26 @@ class MetricEvaluation:
     escaped: int
 
 
-def hann_sinc(t, radius: int):
+def hann_sinc(t, radius: int, derivative: bool = True):
     """Hanning-windowed sinc kernel weight and its t-derivative.
 
     weight(t) = sinc(t) * (0.5 + 0.5*cos(pi*t/radius)) for |t| < radius,
     0 outside; both weight and derivative are continuous at |t| = radius.
+    With ``derivative=False`` only the weight is computed and returned.
     """
     if radius not in (1, 2, 3):
         raise ValueError(f"kernel radius must be 1, 2 or 3, got {radius}")
     t = np.asarray(t, dtype=np.float64)
     inside = np.abs(t) < radius
     s = np.sinc(t)
+    win = 0.5 + 0.5 * np.cos(np.pi * t / radius)
+    w = np.where(inside, s * win, 0.0)
+    if not derivative:
+        return w
     small = np.abs(t) < 1e-8
     safe_t = np.where(small, 1.0, t)
     ds = np.where(small, -(np.pi**2) * t / 3.0, (np.cos(np.pi * t) - s) / safe_t)
-    win = 0.5 + 0.5 * np.cos(np.pi * t / radius)
     dwin = -0.5 * (np.pi / radius) * np.sin(np.pi * t / radius)
-    w = np.where(inside, s * win, 0.0)
     dw = np.where(inside, ds * win + s * dwin, 0.0)
     return w, dw
 
@@ -113,108 +124,148 @@ def _moving_bins(values: np.ndarray, lo: float, hi: float, num_bins: int):
     return np.clip(((values - lo) * scale).astype(np.int64), 0, num_bins - 1)
 
 
+def bin_index_table(volume: Volume, value_range=None,
+                    num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray:
+    """Moving-side intensity bin of every voxel, flat in x-fastest order.
+
+    Bin edges span ``value_range`` (default: the volume's own range), as in
+    ``accumulate``.  The table is the smallest unsigned type that holds the
+    bins (uint8 up to 256) and is filled ``_BLOCK`` voxels at a time, so no
+    full-volume float64 copy is made.
+    """
+    lo, hi = value_range or volume.intensity_range
+    values = volume.flat_values()
+    table = np.empty(values.size, dtype=np.min_scalar_type(num_bins - 1))
+    for start in range(0, values.size, _BLOCK):
+        chunk = values[start : start + _BLOCK].astype(np.float64)
+        table[start : start + _BLOCK] = _moving_bins(chunk, lo, hi, num_bins)
+    return table
+
+
 class _SampleGeometry:
-    """Per-chunk kernel weights, bins and derivatives for retained samples."""
+    """Per-axis kernel weights and neighbor bins of one chunk's retained samples."""
 
     __slots__ = (
-        "points", "cells0", "cells1", "wf0", "wf1", "weights3", "dweights3",
-        "moving_bins", "retained",
+        "count", "points", "u", "du", "moving_bins", "b0", "b1", "wf0", "wf1",
     )
 
     def __init__(self, fixed, moving, params, idx, num_bins, radius,
-                 fixed_range, moving_range, need_derivatives):
-        nxm, nym, nzm = moving.dims
+                 fixed_range, bin_table, derivatives):
         pts = fixed.points_of_flat(idx)
         c = (transform.apply_many(params, pts) - moving.origin) / moving.spacing
         base = np.floor(c).astype(np.int64)
         dims = np.array(moving.dims)
         ok = np.all((base >= radius - 1) & (base <= dims - 1 - radius), axis=1)
-        self.retained = ok
-        if not ok.any():
-            self.points = pts[:0]
-            return
+        self.count = int(ok.sum())
         base = base[ok]
         frac = c[ok] - base
         self.points = pts[ok]
 
+        # (3, 2a, n) per-axis weights, renormalized to sum to 1 on each axis;
+        # samples last, so the stencil products run over contiguous rows
         offsets = np.arange(-(radius - 1), radius + 1)
-        k1 = offsets.size
-        axis_u, axis_du = [], []
-        for axis in range(3):
-            t = frac[:, axis, None] - offsets[None, :]
+        t = frac.T[:, None, :] - offsets[:, None]
+        if derivatives:
             w, dw = hann_sinc(t, radius)
-            s = w.sum(axis=1, keepdims=True)
-            ds = dw.sum(axis=1, keepdims=True)
-            axis_u.append(w / s)
-            axis_du.append(dw / s - (w / s) * (ds / s))
-
-        ux, uy, uz = axis_u
-        w3 = (ux[:, :, None, None] * uy[:, None, :, None] * uz[:, None, None, :])
-        self.weights3 = w3.reshape(len(base), k1**3)
-        if need_derivatives:
-            dux, duy, duz = axis_du
-            dwx = dux[:, :, None, None] * uy[:, None, :, None] * uz[:, None, None, :]
-            dwy = ux[:, :, None, None] * duy[:, None, :, None] * uz[:, None, None, :]
-            dwz = ux[:, :, None, None] * uy[:, None, :, None] * duz[:, None, None, :]
-            self.dweights3 = np.stack(
-                [d.reshape(len(base), k1**3) for d in (dwx, dwy, dwz)], axis=1
-            )
         else:
-            self.dweights3 = None
+            w, dw = hann_sinc(t, radius, derivative=False), None
+        s = w.sum(axis=1, keepdims=True)
+        self.u = w / s
+        self.du = (dw / s - self.u * (dw.sum(axis=1, keepdims=True) / s)
+                   if derivatives else None)
 
-        ix = base[:, 0, None] + offsets[None, :]
-        iy = base[:, 1, None] + offsets[None, :]
-        iz = base[:, 2, None] + offsets[None, :]
-        flat = (
-            ix[:, :, None, None]
-            + nxm * (iy[:, None, :, None] + nym * iz[:, None, None, :])
-        ).reshape(len(base), k1**3)
-        mvals = moving.flat_values()[flat].astype(np.float64)
-        self.moving_bins = _moving_bins(mvals, *moving_range, num_bins)
+        # (n, (2a)^3) neighbor bins; neighbor (i, j, k) is column (i*2a + j)*2a + k
+        nxm, nym, _ = moving.dims
+        stencil = (offsets[:, None, None] + nxm * (offsets[:, None] + nym * offsets)).ravel()
+        corner = base[:, 0] + nxm * (base[:, 1] + nym * base[:, 2])
+        self.moving_bins = bin_table[corner[:, None] + stencil]
 
-        fvals = fixed.flat_values()[np.asarray(idx)[ok]].astype(np.float64)
-        b0, b1, wf0, wf1 = _fixed_bin_spread(fvals, *fixed_range, num_bins)
-        self.cells0 = b0[:, None] * num_bins + self.moving_bins
-        self.cells1 = b1[:, None] * num_bins + self.moving_bins
-        self.wf0 = wf0
-        self.wf1 = wf1
+        self.b0, self.b1, self.wf0, self.wf1 = _fixed_bin_spread(
+            fixed.flat_values()[idx[ok]].astype(np.float64), *fixed_range, num_bins)
 
-    def scatter_into(self, hist_flat: np.ndarray) -> None:
-        if not self.retained.any():
-            return
-        n = hist_flat.size
-        hist_flat += np.bincount(
-            self.cells0.ravel(),
-            weights=(self.wf0[:, None] * self.weights3).ravel(),
-            minlength=n,
-        )
-        hist_flat += np.bincount(
-            self.cells1.ravel(),
-            weights=(self.wf1[:, None] * self.weights3).ravel(),
-            minlength=n,
-        )
+    def _blocks(self):
+        """Slices of at most ``_BLOCK`` sample-neighbor pairs over the samples."""
+        step = max(1, _BLOCK // self.moving_bins.shape[1])
+        return [slice(a, a + step) for a in range(0, self.count, step)]
 
-    def per_sample_gradients(self, dnmi_flat: np.ndarray, params, spacing):
+    def scatter_into(self, hist_flat: np.ndarray, num_bins: int) -> None:
+        # sides sum their mass in sample order from zero, as a bincount per chunk would
+        sides = np.zeros((2, hist_flat.size))
+        for blk in self._blocks():
+            ux, uy, uz = self.u[:, :, blk]
+            w3 = ux[:, None, None] * uy[None, :, None] * uz[None, None, :]
+            mb = self.moving_bins[blk]
+            w3 = w3.reshape(mb.shape[::-1])
+            for side, b, wf in zip(sides, (self.b0, self.b1), (self.wf0, self.wf1)):
+                cells = b[blk, None] * num_bins + mb
+                np.add.at(side, cells.ravel(), (wf[blk] * w3).T.ravel())
+        hist_flat += sides[0]
+        hist_flat += sides[1]
+
+    def per_sample_gradients(self, dnmi: np.ndarray, params, spacing):
         """(n_retained, 6) metric-gradient contribution of each sample."""
-        coeff = (
-            self.wf0[:, None] * dnmi_flat[self.cells0]
-            + self.wf1[:, None] * dnmi_flat[self.cells1]
-        )
-        # d(metric)/d(moving voxel coordinate), then chain to mm and to theta
-        gc = np.einsum("sk,sak->sa", coeff, self.dweights3)
+        # d(metric)/d(neighbor weight), gathered per sample from its two bin rows
+        rows = self.wf0[:, None] * dnmi[self.b0] + self.wf1[:, None] * dnmi[self.b1]
+        k1 = self.u.shape[1]
+        gc = np.empty((self.count, 3))
+        for blk in self._blocks():
+            coeff = np.take_along_axis(rows[blk], self.moving_bins[blk], axis=1)
+            coeff = coeff.T.reshape(k1, k1, k1, -1)
+            # d(metric)/d(moving voxel coordinate): contract z, then y, then x,
+            # differentiating one axis's weights at a time
+            ux, uy, uz = self.u[:, :, blk]
+            dux, duy, duz = self.du[:, :, blk]
+            cz = (coeff * uz).sum(axis=2)
+            dcz = (coeff * duz).sum(axis=2)
+            gc[blk, 0] = ((cz * uy).sum(axis=1) * dux).sum(axis=0)
+            gc[blk, 1] = ((cz * duy).sum(axis=1) * ux).sum(axis=0)
+            gc[blk, 2] = ((dcz * uy).sum(axis=1) * ux).sum(axis=0)
+        # chain to mm and to theta
         gc /= spacing
         jac = transform.jacobian_many(params, self.points)
         return np.einsum("sa,sak->sk", gc, jac)
 
 
-def _geometry_chunks(fixed, moving, params, idx, num_bins, radius,
-                     fixed_range, moving_range, need_derivatives):
+def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
+                    fixed_range, moving_range, bin_table, derivatives):
+    """Joint histogram of the draw, and each chunk's geometry if ``derivatives``.
+
+    The one pass behind ``accumulate``, ``metric_value`` and ``evaluate``.
+    """
     idx = np.asarray(idx)
-    for start in range(0, len(idx), _CHUNK):
-        yield _SampleGeometry(
-            fixed, moving, params, idx[start : start + _CHUNK],
-            num_bins, radius, fixed_range, moving_range, need_derivatives,
+    if idx.size == 0:
+        raise DegenerateHistogramError("empty sample index set")
+    if num_bins < 8:
+        raise ValueError("need at least 8 histogram bins")
+    fixed_range = fixed_range or fixed.intensity_range
+    if bin_table is None:
+        bin_table = bin_index_table(moving, moving_range, num_bins)
+    elif bin_table.shape != (moving.num_voxels,):
+        raise ValueError(f"bin table holds {bin_table.size} voxels, not {moving.num_voxels}")
+
+    hist_flat = np.zeros(num_bins * num_bins)
+    retained = 0
+    chunks = []
+    for start in range(0, idx.size, _CHUNK):
+        geom = _SampleGeometry(
+            fixed, moving, params, idx[start : start + _CHUNK], num_bins,
+            radius, fixed_range, bin_table, derivatives,
         )
+        geom.scatter_into(hist_flat, num_bins)
+        retained += geom.count
+        if derivatives:
+            chunks.append(geom)
+    if retained == 0:
+        raise DegenerateHistogramError(
+            f"all {idx.size} samples escaped the moving volume"
+        )
+    bins = hist_flat.reshape(num_bins, num_bins)
+    return JointHistogram(
+        bins=bins,
+        total_weight=float(bins.sum()),
+        escaped=int(idx.size - retained),
+        num_bins=num_bins,
+    ), chunks
 
 
 def accumulate(
@@ -226,6 +277,7 @@ def accumulate(
     radius: int = 2,
     fixed_range=None,
     moving_range=None,
+    bin_table=None,
 ) -> JointHistogram:
     """Partial-volume joint histogram over the sampled fixed voxels.
 
@@ -233,33 +285,11 @@ def accumulate(
     dropped and counted in ``escaped``.  Bin edges span ``fixed_range`` /
     ``moving_range`` (defaulting to each volume's own intensity range);
     pass the full-resolution ranges so bins mean the same at every pyramid
-    level.
+    level.  ``bin_table`` is the moving volume's ``bin_index_table`` for
+    the same range and bin count; it is built here when not given.
     """
-    idx = np.asarray(idx)
-    if idx.size == 0:
-        raise DegenerateHistogramError("empty sample index set")
-    if num_bins < 8:
-        raise ValueError("need at least 8 histogram bins")
-    fixed_range = fixed_range or fixed.intensity_range
-    moving_range = moving_range or moving.intensity_range
-
-    hist_flat = np.zeros(num_bins * num_bins)
-    retained = 0
-    for geom in _geometry_chunks(fixed, moving, params, idx, num_bins, radius,
-                                 fixed_range, moving_range, False):
-        geom.scatter_into(hist_flat)
-        retained += int(geom.retained.sum())
-    if retained == 0:
-        raise DegenerateHistogramError(
-            f"all {idx.size} samples escaped the moving volume"
-        )
-    bins = hist_flat.reshape(num_bins, num_bins)
-    return JointHistogram(
-        bins=bins,
-        total_weight=float(bins.sum()),
-        escaped=int(idx.size - retained),
-        num_bins=num_bins,
-    )
+    return _histogram_pass(fixed, moving, params, idx, num_bins, radius,
+                           fixed_range, moving_range, bin_table, False)[0]
 
 
 def _clamped_plogp(p: np.ndarray) -> np.ndarray:
@@ -299,10 +329,10 @@ def _dplogp(p: np.ndarray) -> np.ndarray:
 
 
 def _nmi_and_cell_derivative(h: JointHistogram):
-    """NMI value and d(NMI)/d(bin mass) as a flat (B*B,) array."""
+    """NMI value and d(NMI)/d(bin mass) as a (B, B) array."""
     p, pf, pm, hf, hm, hj = _entropies(h)
     if hj <= 0.0:
-        return 2.0, np.zeros(h.num_bins * h.num_bins)
+        return 2.0, np.zeros((h.num_bins, h.num_bins))
     value = (hf + hm) / hj
     w = h.total_weight
     tpj = _dplogp(p)
@@ -314,8 +344,7 @@ def _nmi_and_cell_derivative(h: JointHistogram):
     dhf = -(tpf[:, None] - cf) / w
     dhm = -(tpm[None, :] - cm) / w
     dhj = -(tpj - cj) / w
-    dnmi = (dhf + dhm - value * dhj) / hj
-    return value, np.ascontiguousarray(dnmi.reshape(-1))
+    return value, (dhf + dhm - value * dhj) / hj
 
 
 def evaluate(
@@ -327,6 +356,7 @@ def evaluate(
     radius: int = 2,
     fixed_range=None,
     moving_range=None,
+    bin_table=None,
 ) -> MetricEvaluation:
     """Sampled NMI with analytic gradient and Gauss-Newton curvature.
 
@@ -336,57 +366,25 @@ def evaluate(
     samples: the sum of outer products of per-sample gradient contributions
     times the retained-sample count (each contribution is O(1/n), so the
     bare sum would shrink as 1/n while the true curvature does not).
-    Symmetric positive semidefinite by construction.
+    Symmetric positive semidefinite by construction.  Arguments are as in
+    ``accumulate``.
     """
-    idx = np.asarray(idx)
-    if idx.size == 0:
-        raise DegenerateHistogramError("empty sample index set")
-    if num_bins < 8:
-        raise ValueError("need at least 8 histogram bins")
-    fixed_range = fixed_range or fixed.intensity_range
-    moving_range = moving_range or moving.intensity_range
-
-    cache = idx.size * (2 * radius) ** 3 <= _CACHE_LIMIT
-    chunks = []
-    hist_flat = np.zeros(num_bins * num_bins)
-    retained = 0
-    gen = _geometry_chunks(fixed, moving, params, idx, num_bins, radius,
-                           fixed_range, moving_range, cache)
-    for geom in gen:
-        geom.scatter_into(hist_flat)
-        retained += int(geom.retained.sum())
-        if cache:
-            chunks.append(geom)
-    if retained == 0:
-        raise DegenerateHistogramError(
-            f"all {idx.size} samples escaped the moving volume"
-        )
-    hist = JointHistogram(
-        bins=hist_flat.reshape(num_bins, num_bins),
-        total_weight=float(hist_flat.sum()),
-        escaped=int(idx.size - retained),
-        num_bins=num_bins,
-    )
-    value, dnmi_flat = _nmi_and_cell_derivative(hist)
-
-    if not cache:
-        chunks = _geometry_chunks(fixed, moving, params, idx, num_bins, radius,
-                                  fixed_range, moving_range, True)
+    hist, chunks = _histogram_pass(fixed, moving, params, idx, num_bins, radius,
+                                   fixed_range, moving_range, bin_table, True)
+    value, dnmi = _nmi_and_cell_derivative(hist)
     gradient = np.zeros(6)
     curvature = np.zeros((6, 6))
     for geom in chunks:
-        if not geom.retained.any():
-            continue
-        gs = geom.per_sample_gradients(dnmi_flat, params, moving.spacing)
+        gs = geom.per_sample_gradients(dnmi, params, moving.spacing)
         gradient += gs.sum(axis=0)
         curvature += gs.T @ gs
-    curvature *= retained
+    curvature *= sum(geom.count for geom in chunks)
     curvature = 0.5 * (curvature + curvature.T)
     return MetricEvaluation(
         value=value,
         gradient=gradient,
         curvature=curvature,
-        sample_size=int(idx.size),
+        sample_size=int(np.size(idx)),
         escaped=hist.escaped,
     )
 
@@ -400,9 +398,8 @@ def metric_value(
     radius: int = 2,
     fixed_range=None,
     moving_range=None,
+    bin_table=None,
 ) -> float:
-    """NMI only (no derivatives); the cheap path for trial-point checks."""
-    return nmi(
-        accumulate(fixed, moving, params, idx, num_bins, radius,
-                   fixed_range, moving_range)
-    )
+    """NMI only, without kernel derivatives: the cheap path for trial points."""
+    return nmi(accumulate(fixed, moving, params, idx, num_bins, radius,
+                          fixed_range, moving_range, bin_table))

@@ -226,15 +226,26 @@ def test_sweep_records_raised_cases_as_failures(monkeypatch):
     pairs = stub_pairs()
 
     def stub(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise optimizer.InitializationOutsideOverlapError("boom")
 
     monkeypatch.setattr(optimizer, "register", stub)
     out = bench.sweep(pairs, ["urs"], [0.001], trials=2, seed=1)
     assert len(out["outcomes"]) == 2 * 1 * 1 * 2
     assert all(o.failed for o in out["outcomes"])
     assert all(math.isinf(o.max_tre) for o in out["outcomes"])
+    assert all(o.error == "InitializationOutsideOverlapError: boom"
+               for o in out["outcomes"])
     assert out["aggregates"][0]["failure_rate"] == 1.0
     assert out["aggregates"][0]["trimmed_mtre_mm"] is None
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def stub(*args, **kwargs):
+        raise TypeError("register() got an unexpected keyword argument")
+
+    monkeypatch.setattr(optimizer, "register", stub)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        bench.sweep(stub_pairs(), ["urs"], [0.001], trials=1, seed=1)
 
 
 def test_sweep_validates_inputs():

@@ -12,8 +12,10 @@ quotient while leaving the analytic first derivative exact.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sampreg import bench, similarity, transform
+from sampreg import bench, optimizer, similarity, transform
 from sampreg.rng import make_rng
 from sampreg.similarity import DegenerateHistogramError, JointHistogram
 from sampreg.volume import Volume
@@ -362,3 +364,192 @@ def test_evaluate_value_agrees_with_accumulate_nmi(pair32):
     assert ev.escaped == h.escaped
     val = similarity.metric_value(fixed, moving, params, idx, num_bins=16)
     assert val == pytest.approx(ev.value, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Per-sample hot path: bin table, value-only pass, separable contraction
+# ---------------------------------------------------------------------------
+
+
+def random_rigid_params(rng, center, t_mm=3.0, r_rad=0.1):
+    return transform.RigidParams(
+        t=rng.uniform(-t_mm, t_mm, 3), r=rng.uniform(-r_rad, r_rad, 3), center=center,
+    )
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_metric_value_is_evaluate_value_bit_for_bit(pair32, radius):
+    fixed, moving, _ = pair32
+    rng = make_rng(49, radius)
+    params = random_rigid_params(rng, fixed.center_mm)
+    idx = np.flatnonzero(rng.random(fixed.num_voxels) < 0.05)
+    ev = similarity.evaluate(fixed, moving, params, idx, radius=radius)
+    assert similarity.metric_value(fixed, moving, params, idx, radius=radius) == ev.value
+
+
+def test_draw_spanning_several_chunks(pair32, monkeypatch):
+    fixed, moving, _ = pair32
+    rng = make_rng(50)
+    params = random_rigid_params(rng, fixed.center_mm)
+    idx = np.flatnonzero(rng.random(fixed.num_voxels) < 0.05)
+    one = similarity.evaluate(fixed, moving, params, idx)
+    monkeypatch.setattr(similarity, "_CHUNK", 300)
+    assert idx.size > 3 * similarity._CHUNK
+    many = similarity.evaluate(fixed, moving, params, idx)
+    assert similarity.metric_value(fixed, moving, params, idx) == many.value
+    assert many.escaped == one.escaped
+    assert many.value == pytest.approx(one.value, rel=1e-12)
+    np.testing.assert_allclose(many.gradient, one.gradient, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(many.curvature, one.curvature, rtol=1e-10, atol=1e-14)
+
+
+def dense_reference(fixed, moving, params, idx, num_bins, radius):
+    """Gradient and curvature through materialised (n, 3, (2a)^3) kernel
+    derivative tensors, the contraction the separable one replaces."""
+    hist, chunks = similarity._histogram_pass(
+        fixed, moving, params, idx, num_bins, radius, None, None, None, True
+    )
+    _, dnmi = similarity._nmi_and_cell_derivative(hist)
+    dnmi = dnmi.ravel()
+    gradient = np.zeros(6)
+    curvature = np.zeros((6, 6))
+    for g in chunks:
+        ux, uy, uz = g.u
+        dux, duy, duz = g.du
+
+        def outer(a, b, c):
+            return np.einsum("is,js,ks->sijk", a, b, c).reshape(g.moving_bins.shape)
+
+        dweights = np.stack(
+            [outer(dux, uy, uz), outer(ux, duy, uz), outer(ux, uy, duz)], axis=1
+        )
+        cells0 = g.b0[:, None] * num_bins + g.moving_bins
+        cells1 = g.b1[:, None] * num_bins + g.moving_bins
+        coeff = g.wf0[:, None] * dnmi[cells0] + g.wf1[:, None] * dnmi[cells1]
+        gc = np.einsum("sk,sak->sa", coeff, dweights) / moving.spacing
+        gs = np.einsum("sa,sak->sk", gc, transform.jacobian_many(params, g.points))
+        gradient += gs.sum(axis=0)
+        curvature += gs.T @ gs
+    curvature *= idx.size - hist.escaped
+    return gradient, 0.5 * (curvature + curvature.T)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_separable_contraction_matches_dense_reference(pair32, radius):
+    fixed, moving, _ = pair32
+    rng = make_rng(51, radius)
+    for _ in range(3):
+        params = random_rigid_params(rng, fixed.center_mm, t_mm=6.0, r_rad=0.2)
+        idx = np.flatnonzero(rng.random(fixed.num_voxels) < 0.03)
+        ev = similarity.evaluate(fixed, moving, params, idx, num_bins=16, radius=radius)
+        grad, curv = dense_reference(fixed, moving, params, idx, 16, radius)
+        assert np.abs(ev.gradient - grad).max() <= 1e-12 * np.abs(grad).max()
+        assert np.abs(ev.curvature - curv).max() <= 1e-12 * np.abs(curv).max()
+
+
+def test_bin_index_table_matches_per_voxel_bins(monkeypatch):
+    monkeypatch.setattr(similarity, "_BLOCK", 100)  # several passes, ragged tail
+    rng = make_rng(52)
+    v = Volume(data=rng.random((9, 7, 5)) * 50 - 10, spacing=(1, 1, 1))
+    values = v.flat_values().astype(np.float64)
+    for value_range, bins in ((None, 16), ((0.0, 30.0), 16), (None, 300)):
+        lo, hi = value_range or v.intensity_range
+        table = similarity.bin_index_table(v, value_range, bins)
+        assert table.dtype == (np.uint8 if bins <= 256 else np.uint16)
+        np.testing.assert_array_equal(
+            table, similarity._moving_bins(values, lo, hi, bins)
+        )
+    # the voxel at the range maximum lands in the top bin, not past it
+    table = similarity.bin_index_table(v, None, 16)
+    assert table[np.argmax(values)] == 15
+    assert table[np.argmin(values)] == 0
+    # a constant volume (span 0) puts every voxel in bin 0
+    flat = Volume(data=np.full((4, 5, 6), 3.0), spacing=(1, 1, 1))
+    np.testing.assert_array_equal(similarity.bin_index_table(flat, None, 16), 0)
+
+
+def test_bin_table_must_belong_to_the_moving_volume(pair32, phantom32):
+    fixed, moving, _ = pair32
+    params = transform.RigidParams.identity(fixed.center_mm)
+    idx = interior_indices(fixed)
+    table = similarity.bin_index_table(moving, None, 16)
+    h = similarity.accumulate(fixed, moving, params, idx, bin_table=table)
+    np.testing.assert_array_equal(
+        h.bins, similarity.accumulate(fixed, moving, params, idx).bins
+    )
+    small = Volume(data=np.ones((4, 4, 4)), spacing=(1, 1, 1))
+    with pytest.raises(ValueError, match="bin table"):
+        similarity.evaluate(fixed, moving, params, idx,
+                            bin_table=similarity.bin_index_table(small, None, 16))
+
+
+def test_alternating_registrations_match_runs_alone():
+    """Each optimize_level builds its own bin table: nothing carries over
+    from a registration of another pair, of another size."""
+    pairs = []
+    for size, seed in ((32, 7), (40, 8)):
+        fixed = bench.make_phantom(size, seed=seed)
+        gold = transform.RigidParams(t=(1.0, -0.5, 0.8), r=(0.02, 0.0, -0.01),
+                                     center=fixed.center_mm)
+        pairs.append((fixed, bench.make_moving(fixed, gold, seed=seed)[0]))
+    cfg = optimizer.OptimizerConfig(max_iters=4)
+
+    def run(k):
+        fixed, moving = pairs[k]
+        r = optimizer.register(fixed, moving, sampler_kind="urs", rate=0.02,
+                               cfg=cfg, seed=3, num_levels=2)
+        return [(lv["level"], lv["params"], lv["trace"]) for lv in r.levels]
+
+    a_alone, b_after_a, b_alone, a_after_b = run(0), run(1), run(1), run(0)
+    assert a_after_b == a_alone
+    assert b_after_a == b_alone
+
+
+# ---------------------------------------------------------------------------
+# Properties over random rigid transforms and draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def property_pair():
+    """A fixed volume and a smaller, offset, nonlinearly mapped moving one."""
+    fixed = bench.make_phantom(32, seed=11)
+    moving = Volume(
+        data=np.abs(fixed.data[2:30, 1:31, 3:29]) ** 1.5, spacing=(1, 1, 1),
+        origin=(1.5, 0.5, 2.5),
+    )
+    return fixed, moving
+
+
+def retained_reference(fixed, moving, params, idx, radius):
+    """Samples whose whole (2a)^3 stencil lies inside the moving grid."""
+    c = (transform.apply_many(params, fixed.points_of_flat(idx)) - moving.origin)
+    base = np.floor(c / moving.spacing)
+    dims = np.array(moving.dims)
+    return int(np.all((base >= radius - 1) & (base <= dims - 1 - radius), axis=1).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.lists(st.floats(-12, 12), min_size=3, max_size=3),
+    r=st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
+    rate=st.floats(0.001, 0.05),
+    draw_seed=st.integers(0, 2**32 - 1),
+    radius=st.sampled_from([1, 2, 3]),
+    num_bins=st.sampled_from([8, 16, 33]),
+)
+def test_histogram_mass_is_the_retained_count(property_pair, t, r, rate, draw_seed,
+                                              radius, num_bins):
+    fixed, moving = property_pair
+    params = transform.RigidParams(t=t, r=r, center=fixed.center_mm)
+    idx = np.flatnonzero(make_rng(draw_seed).random(fixed.num_voxels) < rate)
+    retained = retained_reference(fixed, moving, params, idx, radius)
+    if retained == 0:
+        with pytest.raises(DegenerateHistogramError):
+            similarity.accumulate(fixed, moving, params, idx, num_bins, radius)
+        return
+    h = similarity.accumulate(fixed, moving, params, idx, num_bins, radius)
+    assert h.escaped + retained == idx.size
+    assert h.total_weight == pytest.approx(retained, rel=1e-9)
+    ev = similarity.evaluate(fixed, moving, params, idx, num_bins, radius)
+    assert ev.escaped == h.escaped and ev.sample_size == idx.size
