@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from sampreg import optimizer, sampler, similarity, transform
+from sampreg import optimizer, sampler, transform
 from sampreg.rng import derive_seed, make_rng
 from sampreg.sampler import SamplingDistribution
 from sampreg.training import TrainingPair
@@ -218,8 +218,6 @@ def sweep(
     betas: dict | None = None,
     threshold_mm: float = FAILURE_THRESHOLD_MM,
     num_levels: int = 4,
-    num_bins: int = similarity.DEFAULT_NUM_BINS,
-    kernel_radius: int = 2,
 ) -> dict:
     """Registrations for every (pair, sampler, rate, trial) combination.
 
@@ -251,8 +249,7 @@ def sweep(
                             pair.fixed, pair.moving,
                             sampler_kind=kind, betas=kind_betas, rate=rate,
                             cfg=cfg, seed=trial_seed,
-                            num_levels=num_levels, num_bins=num_bins,
-                            kernel_radius=kernel_radius, prepared=prepared,
+                            num_levels=num_levels, prepared=prepared,
                         )
                         outcomes.append(evaluate_case(
                             result.final_params, pair.gold, pair.probe_points,
@@ -378,6 +375,8 @@ def mask_distribution(
     Gradient-driven kinds use the volume's own gradient magnitude (there
     is no second image in this context).
     """
+    if kind not in sampler.KINDS:
+        raise ValueError(f"unknown sampler kind {kind!r}, expected {sampler.KINDS}")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     m = max(1.0, round(rate * v.num_voxels))
@@ -387,8 +386,6 @@ def mask_distribution(
     gms = sampler.build_gms(gradient_magnitude(v), m, level=level)
     if kind == "gms":
         return gms
-    if kind == "mixed":
-        if beta is None:
-            raise ValueError("mixed mask needs a mixing weight")
-        return sampler.build_mixed(urs, gms, beta)
-    raise ValueError(f"unknown sampler kind {kind!r}")
+    if beta is None:
+        raise ValueError("mixed mask needs a mixing weight")
+    return sampler.build_mixed(urs, gms, beta)

@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from sampreg import bench, optimizer, sampler, similarity, training, transform
+from sampreg import bench, optimizer, sampler, training, transform
 from sampreg.optimizer import OptimizerConfig
 from sampreg.training import PsoConfig, TrainingPair
 from sampreg.volume import Volume, load_volume, resample_isotropic, save_volume
@@ -33,44 +33,28 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved engine settings shared by the registration-driven commands."""
+    """Resolved engine settings shared by the registration-driven commands.
+
+    The ``--config`` keys and flags name the run fields and the fields of
+    ``optimizer`` alike, so ``to_dict`` flattens them back into one dict.
+    """
 
     sampler: str = "mixed"
     rate: float = 0.01
     seed: int = 0
     num_levels: int = 4
-    num_bins: int = similarity.DEFAULT_NUM_BINS
-    kernel_radius: int = 2
-    max_iters: int = 50
-    initial_radius: float = 1.0
-    min_radius: float = 1e-3
-    expand: float = 2.0
-    shrink: float = 0.25
-    accept_low: float = 0.25
-    accept_high: float = 0.75
-    damping: float = 1e-8
-    rotation_scale: float | None = None
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            max_iters=self.max_iters,
-            initial_radius=self.initial_radius,
-            min_radius=self.min_radius,
-            expand=self.expand,
-            shrink=self.shrink,
-            accept_low=self.accept_low,
-            accept_high=self.accept_high,
-            damping=self.damping,
-            rotation_scale=self.rotation_scale,
-        )
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        flat = asdict(self)
+        flat.update(flat.pop("optimizer"))
+        return flat
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults <- config file <- flags, validating names and bounds."""
-    known = {f.name for f in fields(RunConfig)}
+    run_keys = {f.name for f in fields(RunConfig)} - {"optimizer"}
+    known = run_keys | {f.name for f in fields(OptimizerConfig)}
     values: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -87,22 +71,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    cfg = RunConfig(**values)
-    if cfg.sampler not in ("urs", "gms", "mixed"):
+    cfg = RunConfig(**{k: v for k, v in values.items() if k in run_keys})
+    opt = {k: v for k, v in values.items() if k not in run_keys}
+    if cfg.sampler not in sampler.KINDS:
         raise UsageError(f"--sampler: unknown kind {cfg.sampler!r}")
     if not 0.0 < cfg.rate <= 1.0:
         raise UsageError(f"--rate: must be in (0, 1], got {cfg.rate}")
     if cfg.num_levels < 1:
         raise UsageError("--levels: must be at least 1")
-    if cfg.num_bins < 8:
+    if opt.get("num_bins", OptimizerConfig.num_bins) < 8:
         raise UsageError("--bins: must be at least 8")
-    if cfg.kernel_radius not in (1, 2, 3):
+    if opt.get("kernel_radius", OptimizerConfig.kernel_radius) not in (1, 2, 3):
         raise UsageError("--kernel-radius: must be 1, 2 or 3")
     try:
-        cfg.optimizer_config()
+        return replace(cfg, optimizer=OptimizerConfig(**opt))
     except ValueError as e:
         raise UsageError(f"optimizer settings: {e}") from e
-    return cfg
 
 
 def _load_1mm(path, flag: str) -> Volume:
@@ -197,9 +181,7 @@ def cmd_register(args) -> int:
     result = optimizer.register(
         fixed, moving,
         sampler_kind=cfg.sampler, betas=betas, rate=cfg.rate,
-        cfg=cfg.optimizer_config(), seed=cfg.seed,
-        num_levels=cfg.num_levels, num_bins=cfg.num_bins,
-        kernel_radius=cfg.kernel_radius,
+        cfg=cfg.optimizer, seed=cfg.seed, num_levels=cfg.num_levels,
     )
     doc = {"config": cfg.to_dict(), "result": result.to_dict()}
     with open(args.out, "w") as f:
@@ -254,9 +236,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"--particles/--iters: {e}") from e
     pairs = _load_manifest(args.pairs)
     betas, report = training.train_cascade(
-        pairs, args.mc, pso_cfg, cfg.optimizer_config(),
+        pairs, args.mc, pso_cfg, cfg.optimizer,
         cfg.rate, cfg.seed, num_levels=cfg.num_levels,
-        num_bins=cfg.num_bins, kernel_radius=cfg.kernel_radius,
     )
     provenance = dict(cfg.to_dict(), mc=args.mc,
                       particles=args.particles, iters=args.iters)
@@ -273,7 +254,7 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     kinds = [k.strip() for k in args.samplers.split(",") if k.strip()]
     for kind in kinds:
-        if kind not in ("urs", "gms", "mixed"):
+        if kind not in sampler.KINDS:
             raise UsageError(f"--samplers: unknown kind {kind!r}")
     if not kinds:
         raise UsageError("--samplers: need at least one sampler kind")
@@ -293,9 +274,8 @@ def cmd_sweep(args) -> int:
     named = [(f"pair{i}", p) for i, p in enumerate(pairs)]
     report = bench.sweep(
         named, kinds, rates, args.trials,
-        cfg=cfg.optimizer_config(), seed=cfg.seed, betas=betas,
+        cfg=cfg.optimizer, seed=cfg.seed, betas=betas,
         threshold_mm=args.threshold, num_levels=cfg.num_levels,
-        num_bins=cfg.num_bins, kernel_radius=cfg.kernel_radius,
     )
     provenance = dict(
         cfg.to_dict(), samplers=kinds, rates=rates,
@@ -376,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="register a moving volume to a fixed one")
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
-    p.add_argument("--sampler", choices=("urs", "gms", "mixed"))
+    p.add_argument("--sampler", choices=sampler.KINDS)
     p.add_argument("--betas", help="mixing-weight JSON (required for mixed)")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
@@ -408,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask", help="export one sampling draw as a 0/1 volume")
     p.add_argument("--volume", required=True)
-    p.add_argument("--sampler", choices=("urs", "gms", "mixed"))
+    p.add_argument("--sampler", choices=sampler.KINDS)
     p.add_argument("--betas", help="mixing-weight JSON (for mixed)")
     p.add_argument("--level", type=int, default=1,
                    help="pyramid level whose mixing weight applies")

@@ -31,8 +31,6 @@ from sampreg.volume import Pyramid, Volume, build_pyramid, gradient_magnitude, t
 # Derivation-path tag for per-level draw streams (recorded in results).
 _LEVEL_STREAM = 11
 
-_SAMPLER_KINDS = ("urs", "gms", "mixed")
-
 # Iterations a level must wander without drift before it counts as
 # stationary (see ``_stationary``).  Shorter windows also stop levels that
 # still drift slowly toward gold at the lowest rates.
@@ -45,7 +43,10 @@ class InitializationOutsideOverlapError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Trust-region settings for one level's inner optimization.
+    """Metric and trust-region settings for one level's inner optimization.
+
+    ``num_bins`` and ``kernel_radius`` size the sampled NMI's joint
+    histogram and its spread kernel (see ``similarity.evaluate``).
 
     Radii live in scaled parameter units: translations in mm, rotations in
     radians times ``rotation_scale`` (mm per radian).  ``rotation_scale``
@@ -56,6 +57,8 @@ class OptimizerConfig:
     ``max_iters`` iterations, or once it is stationary (see ``_stationary``).
     """
 
+    num_bins: int = similarity.DEFAULT_NUM_BINS
+    kernel_radius: int = 2
     max_iters: int = 50
     initial_radius: float = 1.0
     min_radius: float = 1e-3
@@ -167,8 +170,6 @@ def optimize_level(
     params0: RigidParams,
     cfg: OptimizerConfig,
     rng: np.random.Generator,
-    num_bins: int = similarity.DEFAULT_NUM_BINS,
-    kernel_radius: int = 2,
     fixed_range=None,
     moving_range=None,
 ):
@@ -186,7 +187,7 @@ def optimize_level(
     scale = np.array([1.0, 1.0, 1.0] + [cfg.rotation_scale] * 3)
     inv_scale = 1.0 / scale
 
-    bin_table = similarity.bin_index_table(moving, moving_range, num_bins)
+    bin_table = similarity.bin_index_table(moving, moving_range, cfg.num_bins)
     params = params0
     radius = cfg.initial_radius
     moves = []
@@ -201,7 +202,7 @@ def optimize_level(
             idx = sampler.draw(dist, rng)
         try:
             ev = similarity.evaluate(
-                fixed, moving, params, idx, num_bins, kernel_radius,
+                fixed, moving, params, idx, cfg.num_bins, cfg.kernel_radius,
                 fixed_range, moving_range, bin_table,
             )
         except similarity.DegenerateHistogramError as e:
@@ -218,7 +219,7 @@ def optimize_level(
         trial = params.with_vector(params.as_vector() + step_scaled * inv_scale)
         try:
             trial_value = similarity.metric_value(
-                fixed, moving, trial, idx, num_bins, kernel_radius,
+                fixed, moving, trial, idx, cfg.num_bins, cfg.kernel_radius,
                 fixed_range, moving_range, bin_table,
             )
         except similarity.DegenerateHistogramError:
@@ -351,8 +352,6 @@ def register(
     cfg: OptimizerConfig | None = None,
     seed: int = 0,
     num_levels: int = 4,
-    num_bins: int = similarity.DEFAULT_NUM_BINS,
-    kernel_radius: int = 2,
     stop_level: int = 1,
     prepared: PreparedPair | None = None,
     level_cache: dict | None = None,
@@ -375,8 +374,8 @@ def register(
     caller, which decides how long it lives; without it nothing is kept
     between calls.
     """
-    if sampler_kind not in _SAMPLER_KINDS:
-        raise ValueError(f"unknown sampler kind {sampler_kind!r}, expected {_SAMPLER_KINDS}")
+    if sampler_kind not in sampler.KINDS:
+        raise ValueError(f"unknown sampler kind {sampler_kind!r}, expected {sampler.KINDS}")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     if not 1 <= stop_level <= num_levels:
@@ -403,7 +402,7 @@ def register(
     escaped_fractions = []
     for r in range(num_levels, stop_level - 1, -1):
         dist = _level_distribution(sampler_kind, prepared, r, m, betas, notes)
-        key = (r, dist.kind, dist.beta, m, cfg, seed, num_bins, kernel_radius,
+        key = (r, dist.kind, dist.beta, m, cfg, seed,
                params.t.tobytes(), params.r.tobytes(), params.center.tobytes())
         if level_cache is not None and key in level_cache:
             params, trace = level_cache[key]
@@ -415,7 +414,6 @@ def register(
                     prepared.fixed_pyramid.level(r),
                     prepared.moving_pyramid.level(r),
                     dist, params, cfg, rng,
-                    num_bins, kernel_radius,
                     prepared.fixed_range, prepared.moving_range,
                 )
             except InitializationOutsideOverlapError as e:

@@ -16,6 +16,9 @@ import numpy as np
 
 from sampreg.volume import Volume
 
+# The sampler kinds, in the order commands list them.
+KINDS = ("urs", "gms", "mixed")
+
 
 class DegenerateGradientError(ValueError):
     """Gradient field is zero everywhere; gradient sampling is undefined."""
@@ -27,7 +30,7 @@ class SamplingDistribution:
 
     probs: np.ndarray
     expected_count: float
-    kind: str  # "urs", "gms" or "mixed"
+    kind: str  # one of KINDS
     level: int | None = None
     beta: float | None = None
 

@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from sampreg import optimizer, similarity, transform
+from sampreg import optimizer, transform
 from sampreg.rng import RNG_ALGORITHM, derive_seed, make_rng
 from sampreg.transform import RigidParams
 from sampreg.volume import Volume
@@ -113,8 +113,6 @@ def objective_Q(
     rate: float,
     seed: int,
     num_levels: int = 4,
-    num_bins: int = similarity.DEFAULT_NUM_BINS,
-    kernel_radius: int = 2,
     level_cache: dict | None = None,
 ) -> float:
     """Mean ETRE of the level-r estimate over pairs and Monte-Carlo trials.
@@ -149,8 +147,7 @@ def objective_Q(
                     pair.fixed, pair.moving,
                     sampler_kind="mixed", betas=betas, rate=rate,
                     cfg=opt_cfg, seed=trial_seed,
-                    num_levels=num_levels, num_bins=num_bins,
-                    kernel_radius=kernel_radius, stop_level=level,
+                    num_levels=num_levels, stop_level=level,
                     prepared=prepared, level_cache=pair_cache,
                 )
                 est = result.final_params
@@ -210,8 +207,6 @@ def train_cascade(
     rate: float,
     seed: int,
     num_levels: int = 4,
-    num_bins: int = similarity.DEFAULT_NUM_BINS,
-    kernel_radius: int = 2,
 ):
     """Learn one mixture weight per level, coarsest first.
 
@@ -231,8 +226,7 @@ def train_cascade(
         def objective(beta, _level=r, _frozen=frozen):
             return objective_Q(
                 _level, beta, pairs, u_trials, _frozen,
-                opt_cfg, rate, seed, num_levels, num_bins, kernel_radius,
-                level_cache,
+                opt_cfg, rate, seed, num_levels, level_cache,
             )
 
         level_cfg = replace(pso_cfg, seed=derive_seed(seed, _PSO_STREAM, r))

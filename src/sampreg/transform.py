@@ -97,12 +97,6 @@ def euler_from_matrix(m: np.ndarray) -> np.ndarray:
     return np.array([rx, ry, rz])
 
 
-def apply(params: RigidParams, p) -> np.ndarray:
-    """Map one point (mm) through the transform."""
-    rot = rotation_matrix(params.r)
-    return rot @ (np.asarray(p, dtype=np.float64) - params.center) + params.center + params.t
-
-
 def apply_many(params: RigidParams, pts: np.ndarray) -> np.ndarray:
     """Map an (N, 3) array of points (mm) through the transform."""
     rot = rotation_matrix(params.r)
@@ -129,11 +123,6 @@ def _rotation_derivative_factors(r):
     )
 
 
-def jacobian(params: RigidParams, p) -> np.ndarray:
-    """3x6 derivative of apply(params, p) w.r.t. (tx, ty, tz, rx, ry, rz)."""
-    return jacobian_many(params, np.asarray(p, dtype=np.float64).reshape(1, 3))[0]
-
-
 def jacobian_many(params: RigidParams, pts: np.ndarray) -> np.ndarray:
     """(N, 3, 6) transform Jacobians at each of N points."""
     pts = np.asarray(pts, dtype=np.float64)
@@ -146,19 +135,8 @@ def jacobian_many(params: RigidParams, pts: np.ndarray) -> np.ndarray:
     return jac
 
 
-def compose(a: RigidParams, b: RigidParams) -> RigidParams:
-    """The transform equivalent to applying b first, then a."""
-    if not np.allclose(a.center, b.center, atol=1e-9):
-        raise ValueError("compose requires transforms with the same center")
-    ra = rotation_matrix(a.r)
-    rb = rotation_matrix(b.r)
-    rc = ra @ rb
-    tc = ra @ b.t + a.t
-    return RigidParams(t=tc, r=euler_from_matrix(rc), center=a.center)
-
-
 def invert(params: RigidParams) -> RigidParams:
-    """The transform undoing ``params``: apply(invert(p), apply(p, x)) == x."""
+    """The transform undoing ``params``: it maps apply_many(params, x) back to x."""
     rot = rotation_matrix(params.r)
     rinv = rot.T
     return RigidParams(

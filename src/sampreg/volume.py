@@ -161,6 +161,18 @@ def load_volume(path) -> Volume:
     )
 
 
+def _header_vec3(header: dict, key: str) -> np.ndarray:
+    """An RVOL1 header field holding three finite numbers."""
+    value = header[key]
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        vec = None
+    if vec is None or vec.shape != (3,) or not np.all(np.isfinite(vec)):
+        raise VolumeFormatError(f"RVOL1 {key} must be three finite numbers, got {value!r}")
+    return vec
+
+
 def _load_rvol(buf: bytes) -> Volume:
     nl = buf.find(b"\n", len(RVOL_MAGIC))
     if nl < 0:
@@ -169,8 +181,10 @@ def _load_rvol(buf: bytes) -> Volume:
         )
     try:
         header = json.loads(buf[len(RVOL_MAGIC) : nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # undecodable bytes or invalid JSON
         raise VolumeFormatError(f"invalid RVOL1 JSON header at byte {len(RVOL_MAGIC)}: {e}")
+    if not isinstance(header, dict):
+        raise VolumeFormatError("RVOL1 header must be a JSON object")
     for key in ("dims", "spacing_mm", "origin_mm", "dtype"):
         if key not in header:
             raise VolumeFormatError(f"RVOL1 header missing key {key!r}")
@@ -178,7 +192,15 @@ def _load_rvol(buf: bytes) -> Volume:
         raise UnsupportedVoxelTypeError(
             f"RVOL1 dtype {header['dtype']!r} unsupported; only 'f32le'"
         )
-    nx, ny, nz = (int(d) for d in header["dims"])
+    dims = header["dims"]
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(type(d) is int and d >= 2 for d in dims)):
+        raise VolumeFormatError(f"RVOL1 dims must be three integers >= 2, got {dims!r}")
+    spacing = _header_vec3(header, "spacing_mm")
+    if np.any(spacing <= 0):
+        raise VolumeFormatError(f"RVOL1 spacing_mm must be positive, got {spacing.tolist()}")
+    origin = _header_vec3(header, "origin_mm")
+    nx, ny, nz = dims
     start = nl + 1
     need = 4 * nx * ny * nz
     if len(buf) - start < need:
@@ -187,8 +209,10 @@ def _load_rvol(buf: bytes) -> Volume:
             f"expected {start + need} bytes total"
         )
     vox = np.frombuffer(buf, dtype="<f4", count=nx * ny * nz, offset=start)
+    if not np.all(np.isfinite(vox)):
+        raise VolumeFormatError("RVOL1 payload holds non-finite voxel values")
     data = vox.reshape((nx, ny, nz), order="F")
-    return Volume(data=data, spacing=header["spacing_mm"], origin=header["origin_mm"])
+    return Volume(data=data, spacing=spacing, origin=origin)
 
 
 def _load_nifti(buf: bytes) -> Volume:
@@ -201,7 +225,7 @@ def _load_nifti(buf: bytes) -> Volume:
     dim = struct.unpack_from("<8h", buf, 40)
     datatype = struct.unpack_from("<h", buf, 70)[0]
     pixdim = struct.unpack_from("<8f", buf, 76)
-    vox_offset = int(struct.unpack_from("<f", buf, 108)[0])
+    vox_offset = struct.unpack_from("<f", buf, 108)[0]
     scl_slope = struct.unpack_from("<f", buf, 112)[0]
     scl_inter = struct.unpack_from("<f", buf, 116)[0]
 
@@ -215,14 +239,19 @@ def _load_nifti(buf: bytes) -> Volume:
             f"NIfTI datatype code {datatype} unsupported; "
             f"supported codes: {sorted(_NIFTI_DTYPES)}"
         )
-    nx, ny, nz = (max(int(d), 1) for d in dim[1:4])
+    nx, ny, nz = dim[1:4]
+    if min(nx, ny, nz) < 2:
+        raise VolumeFormatError(
+            f"invalid NIfTI dim {(nx, ny, nz)} at byte 42: each axis needs >= 2 voxels"
+        )
     spacing = np.array(pixdim[1:4], dtype=np.float64)
     if np.any(spacing <= 0) or not np.all(np.isfinite(spacing)):
         raise VolumeFormatError(f"invalid NIfTI pixdim {tuple(spacing)} at byte 76")
     dt = _NIFTI_DTYPES[datatype]
     need = nx * ny * nz * dt.itemsize
-    if vox_offset < 348:
+    if not 348 <= vox_offset < math.inf:  # also rejects NaN
         raise VolumeFormatError(f"invalid NIfTI vox_offset {vox_offset} at byte 108")
+    vox_offset = int(vox_offset)
     if len(buf) - vox_offset < need:
         raise VolumeFormatError(
             f"truncated NIfTI payload at byte {len(buf)}: "
@@ -230,8 +259,15 @@ def _load_nifti(buf: bytes) -> Volume:
         )
     vox = np.frombuffer(buf, dtype=dt, count=nx * ny * nz, offset=vox_offset)
     vals = vox.astype(np.float64)
-    if scl_slope != 0.0:
-        vals = vals * float(scl_slope) + float(scl_inter)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        if scl_slope != 0.0:
+            vals = vals * float(scl_slope) + float(scl_inter)
+        vals = vals.astype(np.float32)
+    if not np.all(np.isfinite(vals)):
+        raise VolumeFormatError(
+            "NIfTI voxel values are non-finite as float32 "
+            "(payload, or scl_slope/scl_inter at byte 112)"
+        )
     data = vals.reshape((nx, ny, nz), order="F")
     return Volume(data=data, spacing=spacing, origin=np.zeros(3))
 
@@ -294,8 +330,16 @@ def resample_isotropic(v: Volume, target_spacing: float) -> Volume:
     t = float(target_spacing)
     if t <= 0:
         raise ValueError("target_spacing must be positive")
+    return _resample_onto(v, v.data.astype(np.float64), t)
+
+
+def _resample_onto(v: Volume, arr: np.ndarray, t: float) -> Volume:
+    """``arr``, laid out on v's grid, resampled to isotropic spacing ``t``.
+
+    The output covers v's extent from v's origin, and its intensities are
+    clamped to v's intensity range.
+    """
     dims_out = [int(math.ceil(n * s / t)) for n, s in zip(v.dims, v.spacing)]
-    arr = v.data.astype(np.float64)
     for axis in range(3):
         arr = _resample_axis(arr, axis, dims_out[axis], t / v.spacing[axis])
     lo, hi = v.intensity_range
@@ -318,20 +362,13 @@ def build_pyramid(v: Volume, num_levels: int) -> Pyramid:
         raise ValueError("build_pyramid requires an isotropic volume; resample first")
     base = float(v.spacing[0])
     levels = [v]
-    lo, hi = v.intensity_range
     for r in range(2, num_levels + 1):
         ratio = 4.0 ** ((r - 1) / (num_levels - 1))
         sigma = 0.5 * math.sqrt(ratio * ratio - 1.0)
         smoothed = ndimage.gaussian_filter(
             v.data.astype(np.float64), sigma=sigma, mode="nearest", truncate=3.0
         )
-        arr = smoothed
-        t = base * ratio
-        dims_out = [int(math.ceil(n * s / t)) for n, s in zip(v.dims, v.spacing)]
-        for axis in range(3):
-            arr = _resample_axis(arr, axis, dims_out[axis], t / v.spacing[axis])
-        np.clip(arr, lo, hi, out=arr)
-        levels.append(Volume(data=arr, spacing=(t, t, t), origin=v.origin))
+        levels.append(_resample_onto(v, smoothed, base * ratio))
     return Pyramid(levels=levels)
 
 
@@ -374,9 +411,3 @@ def trilinear_many(v: Volume, pts: np.ndarray):
                 vals += wx * wy * wz * flat[i000 + dx + nx * (dy + ny * dz)]
     vals[~inside] = 0.0
     return vals, inside
-
-
-def sample_trilinear(v: Volume, p):
-    """Interpolated intensity at physical point p (mm), or None if outside."""
-    vals, inside = trilinear_many(v, np.asarray(p, dtype=np.float64).reshape(1, 3))
-    return float(vals[0]) if inside[0] else None

@@ -198,16 +198,15 @@ def test_sweep_counts_and_common_seeds(monkeypatch):
     histograms = set()
 
     def stub(fixed, moving, sampler_kind="urs", betas=None, rate=0.01,
-             cfg=None, seed=0, num_levels=4, num_bins=None, kernel_radius=None,
-             stop_level=1, prepared=None):
+             cfg=None, seed=0, num_levels=4, stop_level=1, prepared=None):
         calls.append((sampler_kind, rate, seed))
-        histograms.add((num_bins, kernel_radius))
+        histograms.add((cfg.num_bins, cfg.kernel_radius))
         return StubResult(RigidParams(t=(1.0, 0, 0), center=center))
 
     monkeypatch.setattr(optimizer, "register", stub)
     out = bench.sweep(
         pairs, ["urs", "gms"], [0.001, 0.01], trials=3, seed=5,
-        num_bins=24, kernel_radius=3,
+        cfg=optimizer.OptimizerConfig(num_bins=24, kernel_radius=3),
     )
     assert histograms == {(24, 3)}
     assert len(out["outcomes"]) == 2 * 2 * 2 * 3

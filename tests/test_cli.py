@@ -61,8 +61,8 @@ def capture_histogram_settings(monkeypatch):
     """Stub registration; returns the set of (num_bins, kernel_radius) seen."""
     seen = set()
 
-    def stub(*args, num_bins, kernel_radius, **kwargs):
-        seen.add((num_bins, kernel_radius))
+    def stub(*args, cfg, **kwargs):
+        seen.add((cfg.num_bins, cfg.kernel_radius))
         return SimpleNamespace(
             final_params=transform.RigidParams.identity((0.0, 0.0, 0.0)),
             elapsed_s=0.0,

@@ -72,9 +72,9 @@ def level_setup(pair32, rate=0.05):
 def test_zero_iterations_returns_start(pair32):
     fixed, moving, gold, dist, rs = level_setup(pair32)
     start = transform.RigidParams(t=(1, 1, 1), center=fixed.center_mm)
-    cfg = OptimizerConfig(max_iters=0, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=0, rotation_scale=rs)
     params, trace = optimizer.optimize_level(
-        fixed, moving, dist, start, cfg, make_rng(0), num_bins=16
+        fixed, moving, dist, start, cfg, make_rng(0)
     )
     assert params is start
     assert trace["rows"] == []
@@ -87,9 +87,11 @@ def test_level_optimization_improves_alignment(pair32):
     start = transform.RigidParams(
         t=gold.t + np.array([1.5, 0, 0]), r=gold.r, center=gold.center
     )
-    cfg = OptimizerConfig(max_iters=60, rotation_scale=rs, min_radius=0.02)
+    cfg = OptimizerConfig(
+        num_bins=32, max_iters=60, rotation_scale=rs, min_radius=0.02
+    )
     params, trace = optimizer.optimize_level(
-        fixed, moving, dist, start, cfg, make_rng(1), num_bins=32
+        fixed, moving, dist, start, cfg, make_rng(1)
     )
     err0 = np.linalg.norm(start.as_vector() - gold.as_vector())
     err1 = np.linalg.norm(params.as_vector() - gold.as_vector())
@@ -99,9 +101,9 @@ def test_level_optimization_improves_alignment(pair32):
 def test_accepted_steps_improve_the_shared_draw_value(pair32):
     fixed, moving, gold, dist, rs = level_setup(pair32)
     start = transform.RigidParams(t=(2, -1, 1), center=fixed.center_mm)
-    cfg = OptimizerConfig(max_iters=25, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=25, rotation_scale=rs)
     _, trace = optimizer.optimize_level(
-        fixed, moving, dist, start, cfg, make_rng(2), num_bins=16
+        fixed, moving, dist, start, cfg, make_rng(2)
     )
     accepted = [row for row in trace["rows"] if row["accepted"]]
     assert accepted, "expected at least one accepted step"
@@ -113,9 +115,9 @@ def test_accepted_steps_improve_the_shared_draw_value(pair32):
 def test_trace_rows_record_draw_and_radius(pair32):
     fixed, moving, gold, dist, rs = level_setup(pair32)
     start = transform.RigidParams(t=(1, 0, 0), center=fixed.center_mm)
-    cfg = OptimizerConfig(max_iters=5, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=5, rotation_scale=rs)
     _, trace = optimizer.optimize_level(
-        fixed, moving, dist, start, cfg, make_rng(3), num_bins=16
+        fixed, moving, dist, start, cfg, make_rng(3)
     )
     assert len(trace["rows"]) == 5
     for row in trace["rows"]:
@@ -128,10 +130,11 @@ def test_radius_collapse_terminates(pair32):
     fixed, moving, gold, dist, rs = level_setup(pair32)
     # at the optimum most proposals fail, so the radius shrinks immediately
     cfg = OptimizerConfig(
-        max_iters=500, initial_radius=1.0, min_radius=0.5, rotation_scale=rs
+        num_bins=16, max_iters=500, initial_radius=1.0, min_radius=0.5,
+        rotation_scale=rs,
     )
     _, trace = optimizer.optimize_level(
-        fixed, moving, dist, gold, cfg, make_rng(4), num_bins=16
+        fixed, moving, dist, gold, cfg, make_rng(4)
     )
     assert trace["termination"] == "radius"
     assert len(trace["rows"]) < 500
@@ -140,12 +143,12 @@ def test_radius_collapse_terminates(pair32):
 def test_optimize_level_is_seed_deterministic(pair32):
     fixed, moving, gold, dist, rs = level_setup(pair32)
     start = transform.RigidParams(t=(1.5, -1, 0.5), center=fixed.center_mm)
-    cfg = OptimizerConfig(max_iters=15, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=15, rotation_scale=rs)
     p1, t1 = optimizer.optimize_level(
-        fixed, moving, dist, start, cfg, make_rng(9, 1), num_bins=16
+        fixed, moving, dist, start, cfg, make_rng(9, 1)
     )
     p2, t2 = optimizer.optimize_level(
-        fixed, moving, dist, start, cfg, make_rng(9, 1), num_bins=16
+        fixed, moving, dist, start, cfg, make_rng(9, 1)
     )
     np.testing.assert_array_equal(p1.as_vector(), p2.as_vector())
     assert t1 == t2

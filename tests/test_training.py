@@ -29,12 +29,12 @@ class StubResult:
 
 def install_register_stub(monkeypatch, calls, est_factory):
     def stub(fixed, moving, sampler_kind="mixed", betas=None, rate=0.01,
-             cfg=None, seed=0, num_levels=4, num_bins=None, kernel_radius=None,
-             stop_level=1, prepared=None, level_cache=None):
+             cfg=None, seed=0, num_levels=4, stop_level=1, prepared=None,
+             level_cache=None):
         calls.append({
             "betas": dict(betas), "seed": seed, "stop_level": stop_level,
             "rate": rate, "sampler_kind": sampler_kind,
-            "num_bins": num_bins, "kernel_radius": kernel_radius,
+            "num_bins": cfg.num_bins, "kernel_radius": cfg.kernel_radius,
         })
         return StubResult(est_factory(seed))
 
@@ -269,8 +269,8 @@ def test_train_cascade_budget_and_freezing(monkeypatch):
     pso_cfg = PsoConfig(particles=3, iterations=2, seed=0)
     betas, report = training.train_cascade(
         pairs, u_trials=2, pso_cfg=pso_cfg,
-        opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=9, num_levels=2,
-        num_bins=24, kernel_radius=3,
+        opt_cfg=optimizer.OptimizerConfig(num_bins=24, kernel_radius=3),
+        rate=0.01, seed=9, num_levels=2,
     )
     # particles * iterations * pairs * trials registrations per level
     assert len(calls) == 3 * 2 * 2 * 2 * 2

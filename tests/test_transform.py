@@ -21,23 +21,30 @@ def random_params(rng, center=(4.0, -2.0, 1.0)):
     )
 
 
+def apply_one(params, p):
+    """Reference single-point map: R @ (p - center) + center + t."""
+    rot = transform.rotation_matrix(params.r)
+    p = np.asarray(p, dtype=np.float64)
+    return rot @ (p - params.center) + params.center + params.t
+
+
 def test_identity_maps_points_to_themselves():
     p = np.array([3.0, -1.5, 2.25])
-    out = transform.apply(RigidParams.identity((0.0, 0.0, 0.0)), p)
+    out = transform.apply_many(RigidParams.identity((0.0, 0.0, 0.0)), [p])[0]
     np.testing.assert_allclose(out, p, atol=1e-15)
 
 
 def test_pure_translation():
     params = RigidParams(t=(1, 2, 3))
     np.testing.assert_allclose(
-        transform.apply(params, (0, 0, 0)), [1, 2, 3], atol=1e-15
+        transform.apply_many(params, [(0, 0, 0)])[0], [1, 2, 3], atol=1e-15
     )
 
 
 def test_quarter_turn_about_x_sends_y_to_z():
     params = RigidParams(r=(np.pi / 2, 0, 0))
     np.testing.assert_allclose(
-        transform.apply(params, (0, 1, 0)), [0, 0, 1], atol=1e-12
+        transform.apply_many(params, [(0, 1, 0)])[0], [0, 0, 1], atol=1e-12
     )
 
 
@@ -52,7 +59,9 @@ def test_rotation_matrix_matches_scipy():
 def test_rotation_about_center_fixes_center():
     center = np.array([5.0, 6.0, 7.0])
     params = RigidParams(r=(0.4, -0.2, 0.9), center=center)
-    np.testing.assert_allclose(transform.apply(params, center), center, atol=1e-12)
+    np.testing.assert_allclose(
+        transform.apply_many(params, [center])[0], center, atol=1e-12
+    )
 
 
 def test_euler_extraction_round_trips():
@@ -73,7 +82,7 @@ def test_gimbal_lock_extraction_uses_rz_zero_branch():
 
 def test_jacobian_translation_and_generator_columns():
     params = RigidParams.identity((0.0, 0.0, 0.0))
-    jac = transform.jacobian(params, (0, 1, 0))
+    jac = transform.jacobian_many(params, [(0, 1, 0)])[0]
     np.testing.assert_allclose(jac[:, :3], np.eye(3), atol=0)
     # d/drx of Rx at 0 is the x cross-product generator: (0,1,0) -> (0,0,1)
     np.testing.assert_allclose(jac[:, 3], [0, 0, 1], atol=1e-12)
@@ -90,10 +99,12 @@ def test_jacobian_matches_central_differences():
         for k in range(6):
             dv = np.zeros(6)
             dv[k] = h
-            hi = transform.apply(params.with_vector(vec + dv), p)
-            lo = transform.apply(params.with_vector(vec - dv), p)
+            hi = transform.apply_many(params.with_vector(vec + dv), [p])[0]
+            lo = transform.apply_many(params.with_vector(vec - dv), [p])[0]
             fd[:, k] = (hi - lo) / (2 * h)
-        np.testing.assert_allclose(transform.jacobian(params, p), fd, atol=1e-5)
+        np.testing.assert_allclose(
+            transform.jacobian_many(params, [p])[0], fd, atol=1e-5
+        )
 
 
 def test_jacobian_many_stacks_single_point_jacobians():
@@ -102,7 +113,9 @@ def test_jacobian_many_stacks_single_point_jacobians():
     pts = rng.uniform(-15, 15, (5, 3))
     many = transform.jacobian_many(params, pts)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(many[i], transform.jacobian(params, p), atol=1e-12)
+        np.testing.assert_allclose(
+            many[i], transform.jacobian_many(params, [p])[0], atol=1e-12
+        )
 
 
 def test_apply_many_matches_apply():
@@ -111,53 +124,7 @@ def test_apply_many_matches_apply():
     pts = rng.uniform(-15, 15, (7, 3))
     many = transform.apply_many(params, pts)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(many[i], transform.apply(params, p), atol=1e-12)
-
-
-def test_compose_with_identity_is_identity_law():
-    rng = np.random.default_rng(16)
-    a = random_params(rng)
-    ident = RigidParams.identity(a.center)
-    for combo in (transform.compose(a, ident), transform.compose(ident, a)):
-        np.testing.assert_allclose(combo.t, a.t, atol=1e-9)
-        np.testing.assert_allclose(combo.r, a.r, atol=1e-9)
-
-
-def test_compose_translations_add():
-    u = RigidParams(t=(1, 2, 3))
-    v = RigidParams(t=(10, 20, 30))
-    combo = transform.compose(u, v)
-    np.testing.assert_allclose(combo.t, [11, 22, 33], atol=1e-12)
-    np.testing.assert_allclose(combo.r, 0, atol=0)
-
-
-def test_compose_matches_pointwise_application():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        a = random_params(rng)
-        b = random_params(rng)
-        combo = transform.compose(a, b)
-        pts = rng.uniform(-25, 25, (20, 3))
-        want = transform.apply_many(a, transform.apply_many(b, pts))
-        np.testing.assert_allclose(transform.apply_many(combo, pts), want, atol=1e-9)
-
-
-def test_compose_is_associative_under_apply():
-    rng = np.random.default_rng(18)
-    a, b, c = (random_params(rng) for _ in range(3))
-    left = transform.compose(transform.compose(a, b), c)
-    right = transform.compose(a, transform.compose(b, c))
-    pts = rng.uniform(-25, 25, (20, 3))
-    np.testing.assert_allclose(
-        transform.apply_many(left, pts), transform.apply_many(right, pts), atol=1e-9
-    )
-
-
-def test_compose_rejects_mismatched_centers():
-    a = RigidParams(t=(1, 0, 0), center=(0, 0, 0))
-    b = RigidParams(t=(1, 0, 0), center=(1, 0, 0))
-    with pytest.raises(ValueError):
-        transform.compose(a, b)
+        np.testing.assert_allclose(many[i], apply_one(params, p), atol=1e-12)
 
 
 def test_invert_identity_and_translation():

@@ -10,6 +10,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import ramp_volume
 from sampreg import volume
@@ -132,6 +134,45 @@ def test_load_rejects_truncated_payload(tmp_path):
         volume.load_volume(path)
 
 
+def rvol_bytes(payload=np.zeros(8, dtype="<f4").tobytes(), **header):
+    """RVOL1 bytes for a 2x2x2 volume, with header fields overridden."""
+    fields = {"dims": [2, 2, 2], "spacing_mm": [1.0, 1.0, 1.0],
+              "origin_mm": [0.0, 0.0, 0.0], "dtype": "f32le"}
+    fields.update(header)
+    return volume.RVOL_MAGIC + json.dumps(fields).encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize("header, field", [
+    ({"dims": [-1, 2, 2]}, "dims"),
+    ({"dims": [2, 2]}, "dims"),
+    ({"dims": [1, 2, 2]}, "dims"),
+    ({"dims": [2, 2.5, 2]}, "dims"),
+    ({"dims": "222"}, "dims"),
+    ({"spacing_mm": [1.0, 1.0]}, "spacing_mm"),
+    ({"spacing_mm": [1.0, 0.0, 1.0]}, "spacing_mm"),
+    ({"spacing_mm": [1.0, "a", 1.0]}, "spacing_mm"),
+    ({"origin_mm": [0.0, 0.0]}, "origin_mm"),
+])
+def test_rvol_rejects_malformed_header_fields(tmp_path, header, field):
+    # 64 payload bytes, enough data for a loader that reads dims [-1, 2, 2] as (4, 2, 2)
+    path = tmp_path / "bad.rvol"
+    path.write_bytes(rvol_bytes(np.zeros(16, dtype="<f4").tobytes(), **header))
+    with pytest.raises(VolumeFormatError, match=field):
+        volume.load_volume(path)
+
+
+def test_rvol_rejects_non_object_header_and_nan_voxels(tmp_path):
+    path = tmp_path / "bad.rvol"
+    path.write_bytes(volume.RVOL_MAGIC + b"[1, 2]\n")
+    with pytest.raises(VolumeFormatError, match="object"):
+        volume.load_volume(path)
+    payload = np.zeros(8, dtype="<f4")
+    payload[3] = np.nan
+    path.write_bytes(rvol_bytes(payload.tobytes()))
+    with pytest.raises(VolumeFormatError, match="payload"):
+        volume.load_volume(path)
+
+
 # ---------------------------------------------------------------------------
 # NIfTI-1 reader
 # ---------------------------------------------------------------------------
@@ -206,6 +247,62 @@ def test_nifti_truncated_payload(tmp_path):
     path.write_bytes(nifti_bytes((2, 2, 2), (1, 1, 1), 16, raw.tobytes())[:-8])
     with pytest.raises(VolumeFormatError, match="byte"):
         volume.load_volume(path)
+
+
+def test_nifti_rejects_singleton_axis_and_bad_values(tmp_path):
+    path = tmp_path / "bad.nii"
+    path.write_bytes(nifti_bytes((2, 1, 2), (1, 1, 1), 16, bytes(16)))
+    with pytest.raises(VolumeFormatError, match="dim"):
+        volume.load_volume(path)
+    raw = np.zeros(8, dtype="<f4")
+    raw[0] = np.nan
+    path.write_bytes(nifti_bytes((2, 2, 2), (1, 1, 1), 16, raw.tobytes()))
+    with pytest.raises(VolumeFormatError, match="non-finite"):
+        volume.load_volume(path)
+    buf = bytearray(nifti_bytes((2, 2, 2), (1, 1, 1), 16, bytes(32)))
+    struct.pack_into("<f", buf, 108, float("nan"))
+    path.write_bytes(bytes(buf))
+    with pytest.raises(VolumeFormatError, match="vox_offset"):
+        volume.load_volume(path)
+
+
+def _valid_volume_file(kind):
+    data = np.arange(27, dtype="<f4").reshape((3, 3, 3), order="F")
+    if kind == "nifti":
+        return nifti_bytes((3, 3, 3), (1.0, 1.5, 2.0), 16,
+                           data.reshape(-1, order="F").tobytes(), scl_slope=2.0)
+    return rvol_bytes(data.reshape(-1, order="F").tobytes(), dims=[3, 3, 3],
+                      spacing_mm=[1.0, 1.5, 2.0], origin_mm=[0.5, -1.0, 2.0])
+
+
+# Edits favour the header bytes (RVOL1 JSON, NIfTI fields below byte 128) and
+# byte values that change a number's sign, digits or float exponent.
+_EDIT_POSITIONS = st.one_of(st.integers(0, 127), st.integers(0, 470))
+_EDIT_VALUES = st.one_of(st.sampled_from(b"-0129.,e[]\x00\x01\x7f\x80\xff"), st.integers(0, 255))
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["rvol", "nifti"]),
+    cut=st.one_of(st.none(), st.integers(min_value=0, max_value=470)),
+    edits=st.lists(st.tuples(_EDIT_POSITIONS, _EDIT_VALUES), max_size=4),
+)
+def test_damaged_files_load_or_raise_format_error(tmp_path, kind, cut, edits):
+    """A truncated or byte-edited file loads or raises VolumeFormatError."""
+    buf = bytearray(_valid_volume_file(kind))
+    for pos, value in edits:
+        if pos < len(buf):
+            buf[pos] = value
+    if cut is not None:
+        del buf[cut:]
+    path = tmp_path / "damaged.vol"
+    path.write_bytes(bytes(buf))
+    try:
+        v = volume.load_volume(path)
+    except VolumeFormatError:
+        return
+    assert np.all(np.isfinite(v.data)) and min(v.dims) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +460,14 @@ def test_trilinear_midpoint_averages():
     data[0, 0, 0] = 2.0
     data[1, 0, 0] = 4.0
     v = Volume(data=data, spacing=(1, 1, 1))
-    assert volume.sample_trilinear(v, (0.5, 0.0, 0.0)) == pytest.approx(3.0)
+    vals, inside = volume.trilinear_many(v, np.array([[0.5, 0.0, 0.0]]))
+    assert inside[0] and vals[0] == pytest.approx(3.0)
 
 
 def test_trilinear_outside_returns_marker():
     v = Volume(data=np.ones((3, 3, 3)), spacing=(1, 1, 1))
-    assert volume.sample_trilinear(v, (3.0, 0.0, 0.0)) is None
+    _, inside = volume.trilinear_many(v, np.array([[3.0, 0.0, 0.0]]))
+    assert not inside[0]
     vals, inside = volume.trilinear_many(v, np.array([[0.5, 0.5, 0.5], [-0.1, 0, 0]]))
     assert inside.tolist() == [True, False]
     assert vals[1] == 0.0
