@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -51,8 +52,23 @@ class RunConfig:
         return flat
 
 
+# The JSON values a --config key accepts, by the annotated type of its field.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(None),)}
+
+
+def _check_config_types(loaded: dict) -> None:
+    """Reject a --config value whose JSON type its field does not take."""
+    hints = {**typing.get_type_hints(RunConfig), **typing.get_type_hints(OptimizerConfig)}
+    for key, value in loaded.items():
+        hint = hints[key]
+        allowed = tuple(t for h in typing.get_args(hint) or (hint,) for t in _JSON_TYPES[h])
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            name = getattr(hint, "__name__", str(hint))
+            raise UsageError(f"--config: {key} must be {name}, got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults <- config file <- flags, validating names and bounds."""
+    """defaults <- config file <- flags, validating names, types and bounds."""
     run_keys = {f.name for f in fields(RunConfig)} - {"optimizer"}
     known = run_keys | {f.name for f in fields(OptimizerConfig)}
     values: dict = {}
@@ -63,9 +79,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 loaded = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"--config: cannot read {config_path}: {e}") from e
+        if not isinstance(loaded, dict):
+            raise UsageError(f"--config: {config_path} must hold a JSON object")
         unknown = sorted(set(loaded) - known)
         if unknown:
             raise UsageError(f"--config: unknown keys {unknown}")
+        _check_config_types(loaded)
         values.update(loaded)
     for name in known:
         flag = getattr(args, name, None)
@@ -345,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--make-moving", dest="make_moving",
                    help="also write a transformed copy to this path")
-    p.add_argument("--params", help="gold transform tx,ty,tz,rx,ry,rz (mm, rad)")
+    p.add_argument("--params",
+                   help="gold transform tx,ty,tz,rx,ry,rz (mm, rad); a value "
+                        "starting with '-' takes the form --params=-1.5,1,0.5,-0.02,0.01,0.02")
     p.add_argument("--noise", type=float, default=0.02,
                    help="additive noise sd as a fraction of the intensity span")
     p.add_argument("--gamma", type=float, default=0.7,

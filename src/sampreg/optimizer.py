@@ -12,12 +12,23 @@ The cascade runs levels coarse to fine, each level initialized with the
 previous estimate; the coarsest level starts from zero parameters.  The
 pixel budget M is a fraction of the FULL-resolution voxel count and is the
 same at every level.
+
+No draw depends on the optimizer's state, so ``register`` has one
+background thread draw ahead: when it starts, it queues every level's
+draws, coarse to fine, on a single worker, at most ``max_iters`` a level
+(fewer when they would hold more than ``_AHEAD_INDICES`` indices).  Each
+level still consumes its own stream in order, so the outputs are bit for
+bit those of drawing in line; the draws a level leaves unused come from a
+generator that is thrown away.  The draw's uniform fill, comparison and
+selection release the GIL, so the finest level's O(N) draws run during
+the coarser levels' similarity passes; the gain needs a second core.
 """
 
 from __future__ import annotations
 
 import copy
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +46,10 @@ _LEVEL_STREAM = 11
 # stationary (see ``_stationary``).  Shorter windows also stop levels that
 # still drift slowly toward gold at the lowest rates.
 _STALL_WINDOW = 15
+
+# Expected indices a level's queued draws may hold together (2 MB of
+# int64), so dense rates on large volumes queue fewer than ``max_iters``.
+_AHEAD_INDICES = 1 << 18
 
 
 class InitializationOutsideOverlapError(ValueError):
@@ -172,6 +187,7 @@ def optimize_level(
     rng: np.random.Generator,
     fixed_range=None,
     moving_range=None,
+    drawn=(),
 ):
     """Maximize sampled NMI from params0; returns (params, trace).
 
@@ -181,6 +197,10 @@ def optimize_level(
     shared draw, the acceptance ratio, the radius used, and the draw size.
     An empty draw (possible at tiny budgets) is redrawn from the same
     stream, keeping runs seed-deterministic.
+
+    ``drawn`` holds futures of the first draws from ``rng``, made ahead
+    in order (see ``register``).  They are taken one per draw; once they
+    are used up, the level draws from ``rng`` itself.
     """
     if cfg.rotation_scale is None:
         raise ValueError("rotation_scale must be resolved before optimize_level")
@@ -194,12 +214,18 @@ def optimize_level(
     interior = []
     rows = []
     termination = "budget"
+    ahead = iter(drawn)
+
+    def next_draw():
+        future = next(ahead, None)
+        return sampler.draw(dist, rng) if future is None else future.result()
+
     for iteration in range(cfg.max_iters):
-        idx = sampler.draw(dist, rng)
+        idx = next_draw()
         for _ in range(100):
             if idx.size:
                 break
-            idx = sampler.draw(dist, rng)
+            idx = next_draw()
         try:
             ev = similarity.evaluate(
                 fixed, moving, params, idx, cfg.num_bins, cfg.kernel_radius,
@@ -400,38 +426,49 @@ def register(
     params = RigidParams.identity(prepared.center)
     level_reports = []
     escaped_fractions = []
-    for r in range(num_levels, stop_level - 1, -1):
-        dist = _level_distribution(sampler_kind, prepared, r, m, betas, notes)
-        key = (r, dist.kind, dist.beta, m, cfg, seed,
-               params.t.tobytes(), params.r.tobytes(), params.center.tobytes())
-        if level_cache is not None and key in level_cache:
-            params, trace = level_cache[key]
-            trace = copy.deepcopy(trace)
-        else:
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sampreg-draw")
+    try:
+        plan = {}
+        for r in range(num_levels, stop_level - 1, -1):
+            dist = _level_distribution(sampler_kind, prepared, r, m, betas, notes)
             rng = make_rng(seed, _LEVEL_STREAM, r)
-            try:
-                params, trace = optimize_level(
-                    prepared.fixed_pyramid.level(r),
-                    prepared.moving_pyramid.level(r),
-                    dist, params, cfg, rng,
-                    prepared.fixed_range, prepared.moving_range,
-                )
-            except InitializationOutsideOverlapError as e:
-                raise InitializationOutsideOverlapError(f"level {r}: {e}") from e
-            if level_cache is not None and r > stop_level:
-                level_cache[key] = (params, copy.deepcopy(trace))
-        for row in trace["rows"]:
-            escaped_fractions.append(row["escaped"] / max(row["sample_size"], 1))
-        level_reports.append({
-            "level": r,
-            "params": params.to_dict(),
-            "iterations": len(trace["rows"]),
-            "termination": trace["termination"],
-            "trace": trace["rows"],
-            "seed_path": [seed, _LEVEL_STREAM, r],
-            "sampler_kind": dist.kind,
-            "expected_count": dist.expected_count,
-        })
+            count = min(cfg.max_iters, max(1, int(_AHEAD_INDICES // dist.expected_count)))
+            plan[r] = dist, rng, [pool.submit(sampler.draw, dist, rng) for _ in range(count)]
+        for r in list(plan):
+            dist, rng, drawn = plan.pop(r)  # a finished level's draws are freed
+            key = (r, dist.kind, dist.beta, m, cfg, seed,
+                   params.t.tobytes(), params.r.tobytes(), params.center.tobytes())
+            if level_cache is not None and key in level_cache:
+                params, trace = level_cache[key]
+                trace = copy.deepcopy(trace)
+            else:
+                try:
+                    params, trace = optimize_level(
+                        prepared.fixed_pyramid.level(r),
+                        prepared.moving_pyramid.level(r),
+                        dist, params, cfg, rng,
+                        prepared.fixed_range, prepared.moving_range, drawn,
+                    )
+                except InitializationOutsideOverlapError as e:
+                    raise InitializationOutsideOverlapError(f"level {r}: {e}") from e
+                if level_cache is not None and r > stop_level:
+                    level_cache[key] = (params, copy.deepcopy(trace))
+            for future in drawn:
+                future.cancel()
+            for row in trace["rows"]:
+                escaped_fractions.append(row["escaped"] / max(row["sample_size"], 1))
+            level_reports.append({
+                "level": r,
+                "params": params.to_dict(),
+                "iterations": len(trace["rows"]),
+                "termination": trace["termination"],
+                "trace": trace["rows"],
+                "seed_path": [seed, _LEVEL_STREAM, r],
+                "sampler_kind": dist.kind,
+                "expected_count": dist.expected_count,
+            })
+    finally:
+        pool.shutdown(cancel_futures=True)
     elapsed = time.perf_counter() - start
 
     return RegistrationResult(

@@ -19,6 +19,10 @@ from sampreg.volume import Volume
 # The sampler kinds, in the order commands list them.
 KINDS = ("urs", "gms", "mixed")
 
+# Uniforms generated at a time by ``draw``: 512 KB of float64, so a draw
+# never holds a float array as long as the level.
+_DRAW_BLOCK = 65536
+
 
 class DegenerateGradientError(ValueError):
     """Gradient field is zero everywhere; gradient sampling is undefined."""
@@ -125,9 +129,23 @@ def build_mixed(
 
 
 def draw(d: SamplingDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Sorted voxel indices from one Bernoulli trial per voxel."""
-    u = rng.random(d.num_voxels)
-    return np.flatnonzero(u < d.probs)
+    """Sorted voxel indices from one Bernoulli trial per voxel.
+
+    The uniforms are generated ``_DRAW_BLOCK`` at a time into one buffer.
+    A generator's stream carries on across calls, so the indices are those
+    of ``np.flatnonzero(rng.random(n) < d.probs)`` and leave the generator
+    in the same state.
+    """
+    n = d.num_voxels
+    buf = np.empty(min(n, _DRAW_BLOCK))
+    picked = [np.empty(0, dtype=np.intp)]
+    for lo in range(0, n, _DRAW_BLOCK):
+        u = buf[: min(_DRAW_BLOCK, n - lo)]
+        rng.random(out=u)
+        hits = np.flatnonzero(u < d.probs[lo : lo + u.size])
+        hits += lo
+        picked.append(hits)
+    return np.concatenate(picked)
 
 
 # ---------------------------------------------------------------------------

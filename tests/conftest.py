@@ -5,6 +5,8 @@ fixture; the lines are printed after the test run so pass/fail status per
 criterion is visible even under output capture.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in _CRITERION_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail any test that ends with a thread it did not start with."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads still running after the test: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,22 @@ def test_phantom_is_rerun_identical(cli_ws, tmp_path):
     assert out.read_bytes() == (cli_ws / "fixed.rvol").read_bytes()
 
 
+def test_phantom_takes_negative_params_after_an_equals_sign(tmp_path):
+    params = "-1.5,1,0.5,-0.02,0.01,0.02"
+    gold_path = tmp_path / "gold.json"
+    rc = cli.main([
+        "phantom", "--size", "32", "--out", str(tmp_path / "v.rvol"),
+        "--make-moving", str(tmp_path / "m.rvol"), f"--params={params}",
+        "--gold", str(gold_path),
+    ])
+    assert rc == 0
+    doc = json.loads(gold_path.read_text())
+    gold = transform.RigidParams.from_dict(doc["transform"])
+    np.testing.assert_allclose(gold.t, [-1.5, 1.0, 0.5])
+    np.testing.assert_allclose(gold.r, [-0.02, 0.01, 0.02])
+    assert doc["config"]["params"] == params
+
+
 def test_phantom_rejects_small_size(tmp_path, capsys):
     rc = cli.main(["phantom", "--size", "16", "--out", str(tmp_path / "v.rvol")])
     assert rc == 2
@@ -269,6 +285,49 @@ def test_register_rejects_unknown_config_key(cli_ws, tmp_path, capsys):
     ))
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, loaded, key", [
+    ("register", {"num_bins": "x"}, "num_bins"),
+    ("register", {"max_iters": 2.5}, "max_iters"),
+    ("register", {"seed": True}, "seed"),
+    ("register", {"rotation_scale": "wide"}, "rotation_scale"),
+    ("mask", {"num_bins": "x"}, "num_bins"),
+    ("mask", {"rate": "0.1"}, "rate"),
+    ("mask", {"sampler": 3}, "sampler"),
+])
+def test_config_value_of_the_wrong_type_is_usage_error(cli_ws, tmp_path, capsys,
+                                                       command, loaded, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(loaded))
+    inputs = (register_args(cli_ws, tmp_path / "r.json") if command == "register"
+              else ["mask", "--volume", str(cli_ws / "fixed.rvol"),
+                    "--out", str(tmp_path / "m.rvol")])
+    rc = cli.main(inputs + ["--sampler", "urs", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and key in err
+
+
+def test_config_takes_integral_floats_and_null_rotation_scale(cli_ws, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rate": 1, "initial_radius": 2, "rotation_scale": None,
+                                    "max_iters": 1, "num_levels": 2}))
+    out = tmp_path / "result.json"
+    rc = cli.main(register_args(cli_ws, out, "--sampler", "urs", "--config", str(cfg_path)))
+    assert rc == 0
+    cfg = json.loads(out.read_text())["config"]
+    assert (cfg["rate"], cfg["initial_radius"], cfg["rotation_scale"]) == (1, 2, None)
+
+
+def test_config_that_is_not_an_object_is_usage_error(cli_ws, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[0.1]")
+    rc = cli.main(register_args(
+        cli_ws, tmp_path / "r.json", "--sampler", "urs", "--config", str(cfg_path),
+    ))
+    assert rc == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_register_resamples_anisotropic_input(cli_ws, tmp_path):

@@ -1,5 +1,8 @@
 """Trust-region level optimizer and multi-resolution cascade tests."""
 
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -315,6 +318,115 @@ def test_register_raises_outside_overlap(phantom32):
             phantom32, far, sampler_kind="urs", rate=0.01,
             cfg=OptimizerConfig(max_iters=2), seed=0,
         )
+
+
+def test_failed_register_leaves_no_draw_worker(phantom32):
+    far = Volume(
+        data=phantom32.data,
+        spacing=phantom32.spacing,
+        origin=phantom32.origin + 500.0,
+    )
+    before = threading.active_count()
+    with pytest.raises(InitializationOutsideOverlapError, match="level 4"):
+        optimizer.register(
+            phantom32, far, sampler_kind="mixed", betas={r: 0.5 for r in range(1, 5)},
+            rate=0.01, cfg=OptimizerConfig(max_iters=50), seed=0,
+        )
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name.startswith("sampreg-draw")]
+
+
+def in_line_cascade(fixed, moving, kind, rate, cfg, seed, betas=None):
+    """The cascade run level by level through optimize_level, drawing in line."""
+    prepared = optimizer.prepare(fixed, moving)
+    cfg = replace(cfg, rotation_scale=prepared.rotation_scale)
+    m = max(1.0, round(rate * prepared.fixed_pyramid.level(1).num_voxels))
+    params = transform.RigidParams.identity(prepared.center)
+    levels = []
+    for r in range(prepared.num_levels, 0, -1):
+        dist = optimizer._level_distribution(kind, prepared, r, m, betas, [])
+        params, trace = optimizer.optimize_level(
+            prepared.fixed_pyramid.level(r), prepared.moving_pyramid.level(r),
+            dist, params, cfg, make_rng(seed, optimizer._LEVEL_STREAM, r),
+            prepared.fixed_range, prepared.moving_range,
+        )
+        levels.append((params.to_dict(), trace))
+    return levels
+
+
+def assert_same_levels(result, reference):
+    assert [(lv["params"], {"termination": lv["termination"], "rows": lv["trace"]})
+            for lv in result.levels] == reference
+
+
+# A short budget with a high radius floor, so levels stop before their budget
+# and leave queued draws unused.
+EARLY_STOP_CFG = OptimizerConfig(max_iters=6, initial_radius=1.0, min_radius=0.3)
+
+
+@pytest.mark.parametrize("kind", sampler.KINDS)
+def test_drawing_ahead_is_bit_identical_to_drawing_in_line(pair32, kind):
+    fixed, moving, _ = pair32
+    betas = {r: 0.3 for r in range(1, 5)}
+    reference = in_line_cascade(fixed, moving, kind, 0.01, EARLY_STOP_CFG, 6, betas)
+    assert any(trace["termination"] != "budget" for _, trace in reference)
+    result = optimizer.register(
+        fixed, moving, sampler_kind=kind, betas=betas, rate=0.01,
+        cfg=EARLY_STOP_CFG, seed=6,
+    )
+    assert_same_levels(result, reference)
+
+
+@pytest.fixture
+def draw_threads(monkeypatch):
+    """(level, thread name) of every sampler.draw call, in call order."""
+    made = []
+    real = sampler.draw
+
+    def recording(dist, rng):
+        made.append((dist.level, threading.current_thread().name))
+        return real(dist, rng)
+
+    monkeypatch.setattr(sampler, "draw", recording)
+    return made
+
+
+def test_levels_draw_in_line_once_the_queued_draws_are_used(pair32, monkeypatch, draw_threads):
+    fixed, moving, _ = pair32
+    reference = in_line_cascade(fixed, moving, "urs", 0.01, EARLY_STOP_CFG, 7)
+    draw_threads.clear()
+    monkeypatch.setattr(optimizer, "_AHEAD_INDICES", 1)  # one draw ahead a level
+    result = optimizer.register(
+        fixed, moving, sampler_kind="urs", rate=0.01, cfg=EARLY_STOP_CFG, seed=7,
+    )
+    assert_same_levels(result, reference)
+    for lv in result.levels:
+        made = [name for level, name in draw_threads if level == lv["level"]]
+        assert made[0].startswith("sampreg-draw")
+        assert made[1:] == ["MainThread"] * (lv["iterations"] - 1)
+
+
+def test_draws_are_made_ahead_on_one_worker(pair32, draw_threads):
+    fixed, moving, _ = pair32
+    cfg = OptimizerConfig(max_iters=4)
+    result = optimizer.register(fixed, moving, sampler_kind="urs", rate=0.01, cfg=cfg, seed=2)
+    assert len({name for _, name in draw_threads}) == 1
+    assert draw_threads[0][1].startswith("sampreg-draw")
+    for lv in result.levels:
+        made = sum(level == lv["level"] for level, _ in draw_threads)
+        assert lv["iterations"] <= made <= cfg.max_iters
+
+
+def test_reused_levels_keep_the_in_line_draws(pair32):
+    fixed, moving, _ = pair32
+    run = dict(sampler_kind="gms", rate=0.01, cfg=EARLY_STOP_CFG, seed=8)
+    reference = in_line_cascade(fixed, moving, "gms", 0.01, EARLY_STOP_CFG, 8)
+    prepared = optimizer.prepare(fixed, moving)
+    cache = {}
+    optimizer.register(fixed, moving, stop_level=2, prepared=prepared, level_cache=cache, **run)
+    assert len(cache) == 2
+    result = optimizer.register(fixed, moving, prepared=prepared, level_cache=cache, **run)
+    assert_same_levels(result, reference)
 
 
 def test_register_reuses_intermediate_levels(pair32, monkeypatch):

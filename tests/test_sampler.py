@@ -211,6 +211,20 @@ def test_draw_same_seed_is_reproducible():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n", [
+    sampler._DRAW_BLOCK - 1, sampler._DRAW_BLOCK, sampler._DRAW_BLOCK + 1, 96 ** 3,
+])
+def test_blockwise_draw_keeps_the_whole_level_stream(n):
+    probs = np.linspace(0.0, 0.01, n)
+    d = sampler.SamplingDistribution(probs=probs, expected_count=probs.sum(), kind="gms")
+    blockwise, whole = make_rng(9, n), make_rng(9, n)
+    for _ in range(2):  # the second draw checks where the stream was left
+        expected = np.flatnonzero(whole.random(n) < probs)
+        got = sampler.draw(d, blockwise)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_draw_returns_sorted_unique_indices():
     d = sampler.build_urs(2000, 100)
     idx = sampler.draw(d, make_rng(5))
