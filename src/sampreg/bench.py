@@ -331,21 +331,14 @@ def write_cases_csv(outcomes, path, num_levels: int, betas: dict | None,
 
 def write_aggregate_csv(aggregates, path, config: dict | None = None) -> None:
     """Per-(sampler, rate) summary table; empty mTRE cell when all failed."""
+    columns = ["sampler", "rate", "failure_rate", "trimmed_mtre_mm", "median_time_ms"]
     with open(path, "w", newline="") as f:
         if config is not None:
             f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.writer(f)
-        writer.writerow(
-            ["sampler", "rate", "failure_rate", "trimmed_mtre_mm", "median_time_ms"]
-        )
+        writer.writerow(columns)
         for row in aggregates:
-            writer.writerow([
-                row["sampler"],
-                _format_cell(row["rate"]),
-                _format_cell(row["failure_rate"]),
-                _format_cell(row["trimmed_mtre_mm"]),
-                _format_cell(row["median_time_ms"]),
-            ])
+            writer.writerow([_format_cell(row[c]) for c in columns])
 
 
 def export_mask(v: Volume, dist: SamplingDistribution, seed: int, path) -> None:

@@ -131,11 +131,14 @@ def _parse_params(text: str) -> list:
     return values
 
 
-def _write_provenance_sidecar(volume_path, config: dict) -> None:
-    sidecar = Path(str(volume_path) + ".provenance.json")
-    with open(sidecar, "w") as f:
-        json.dump({"config": config}, f, indent=2, sort_keys=True)
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_provenance_sidecar(volume_path, config: dict) -> None:
+    _write_json(Path(str(volume_path) + ".provenance.json"), {"config": config})
 
 
 def _load_betas_flag(path) -> dict:
@@ -177,12 +180,7 @@ def cmd_phantom(args) -> int:
         save_volume(moving, args.make_moving)
         _write_provenance_sidecar(args.make_moving, provenance)
         if args.gold:
-            with open(args.gold, "w") as f:
-                json.dump(
-                    {"transform": gold.to_dict(), "config": provenance},
-                    f, indent=2, sort_keys=True,
-                )
-                f.write("\n")
+            _write_json(args.gold, {"transform": gold.to_dict(), "config": provenance})
     elif args.params or args.gold:
         raise UsageError("--params/--gold: only meaningful with --make-moving")
     return 0
@@ -202,10 +200,7 @@ def cmd_register(args) -> int:
         sampler_kind=cfg.sampler, betas=betas, rate=cfg.rate,
         cfg=cfg.optimizer, seed=cfg.seed, num_levels=cfg.num_levels,
     )
-    doc = {"config": cfg.to_dict(), "result": result.to_dict()}
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(args.out, {"config": cfg.to_dict(), "result": result.to_dict()})
     return 0
 
 
@@ -262,10 +257,7 @@ def cmd_train(args) -> int:
                       particles=args.particles, iters=args.iters)
     sampler.save_betas(betas, args.out, extra={"config": provenance})
     if args.report:
-        with open(args.report, "w") as f:
-            json.dump({"config": provenance, "report": report},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.report, {"config": provenance, "report": report})
     return 0
 
 

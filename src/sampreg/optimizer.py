@@ -9,9 +9,9 @@ values from different draws would make the ratio meaningless).  Rotations
 and translations share one trust region through a mm-per-radian scale.
 
 The cascade runs levels coarse to fine, each level initialized with the
-previous estimate; the coarsest level starts from zero parameters.  The
-pixel budget M is a fraction of the FULL-resolution voxel count and is the
-same at every level.
+previous estimate; the coarsest level starts from the caller's estimate
+(zero parameters by default).  The pixel budget M is a fraction of the
+FULL-resolution voxel count and is the same at every level.
 
 No draw depends on the optimizer's state, so ``register`` has one
 background thread draw ahead: when it starts, it queues every level's
@@ -26,7 +26,6 @@ the coarser levels' similarity passes; the gain needs a second core.
 
 from __future__ import annotations
 
-import copy
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -380,25 +379,22 @@ def register(
     num_levels: int = 4,
     stop_level: int = 1,
     prepared: PreparedPair | None = None,
-    level_cache: dict | None = None,
+    init: RigidParams | None = None,
 ) -> RegistrationResult:
     """Run the coarse-to-fine cascade and return the audited estimate.
 
     ``rate`` is the sampled fraction of the FULL-resolution voxel count;
     the resulting pixel budget is reused unchanged at every level.
     ``betas`` maps level -> mixing weight and is required for the mixed
-    sampler (levels num_levels..stop_level).  ``stop_level`` > 1 truncates
-    the cascade after that level (used when training coarser levels).
-    Passing ``prepared`` skips pyramid construction (it must describe the
-    same fixed/moving pair).
-
-    A level's outcome depends only on its start estimate, distribution,
-    settings and seed.  A caller that runs the same coarser levels again
-    on one pair may pass a dict as ``level_cache``: the outcomes of levels
-    above ``stop_level`` are stored there and reused when the same level
-    is asked for again.  The dict belongs to that one pair and to the
-    caller, which decides how long it lives; without it nothing is kept
-    between calls.
+    sampler (levels num_levels..stop_level).  Levels num_levels down to
+    ``stop_level`` run, starting from ``init`` (None: the identity about
+    the fixed volume's center).  Passing ``prepared`` skips pyramid
+    construction (it must describe the same fixed/moving pair), and
+    ``num_levels`` then picks the coarsest level of THAT pyramid: on a
+    4-level pair, ``num_levels=3`` runs its levels 3..1, whose level 3 has
+    a 2.52 mm spacing, not the 4 mm of a fresh 3-level pyramid.  Each level
+    draws from its own stream, so ``num_levels=r, stop_level=r, init=x``
+    reproduces level r of any cascade whose level r+1 ended at x.
     """
     if sampler_kind not in sampler.KINDS:
         raise ValueError(f"unknown sampler kind {sampler_kind!r}, expected {sampler.KINDS}")
@@ -406,6 +402,9 @@ def register(
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     if not 1 <= stop_level <= num_levels:
         raise ValueError("need 1 <= stop_level <= num_levels")
+    if prepared is not None and num_levels > prepared.num_levels:
+        raise ValueError(f"num_levels={num_levels} exceeds the prepared pair's "
+                         f"{prepared.num_levels} levels")
     if sampler_kind == "mixed":
         missing = [r for r in range(stop_level, num_levels + 1)
                    if betas is None or r not in betas]
@@ -423,7 +422,7 @@ def register(
     m = max(1.0, round(rate * n_full))
 
     notes: list = []
-    params = RigidParams.identity(prepared.center)
+    params = RigidParams.identity(prepared.center) if init is None else init
     level_reports = []
     escaped_fractions = []
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sampreg-draw")
@@ -436,23 +435,15 @@ def register(
             plan[r] = dist, rng, [pool.submit(sampler.draw, dist, rng) for _ in range(count)]
         for r in list(plan):
             dist, rng, drawn = plan.pop(r)  # a finished level's draws are freed
-            key = (r, dist.kind, dist.beta, m, cfg, seed,
-                   params.t.tobytes(), params.r.tobytes(), params.center.tobytes())
-            if level_cache is not None and key in level_cache:
-                params, trace = level_cache[key]
-                trace = copy.deepcopy(trace)
-            else:
-                try:
-                    params, trace = optimize_level(
-                        prepared.fixed_pyramid.level(r),
-                        prepared.moving_pyramid.level(r),
-                        dist, params, cfg, rng,
-                        prepared.fixed_range, prepared.moving_range, drawn,
-                    )
-                except InitializationOutsideOverlapError as e:
-                    raise InitializationOutsideOverlapError(f"level {r}: {e}") from e
-                if level_cache is not None and r > stop_level:
-                    level_cache[key] = (params, copy.deepcopy(trace))
+            try:
+                params, trace = optimize_level(
+                    prepared.fixed_pyramid.level(r),
+                    prepared.moving_pyramid.level(r),
+                    dist, params, cfg, rng,
+                    prepared.fixed_range, prepared.moving_range, drawn,
+                )
+            except InitializationOutsideOverlapError as e:
+                raise InitializationOutsideOverlapError(f"level {r}: {e}") from e
             for future in drawn:
                 future.cancel()
             for row in trace["rows"]:

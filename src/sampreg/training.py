@@ -1,20 +1,22 @@
 """Per-level learning of the sampling mixture weight.
 
 The objective for a candidate weight at level r is the empirical target
-registration error: run the cascade from the coarsest level down to r
-(coarser levels use their already-learned weights, level r the candidate),
-compare the level-r estimate against the pair's gold transform at a set of
-probe points, and average the squared probe displacement over pairs and
-Monte-Carlo trials.  Particle swarm minimizes that average on [0, 1].
+registration error: run level r with the candidate weight, compare its
+estimate against the pair's gold transform at a set of probe points, and
+average the squared probe displacement over pairs and Monte-Carlo trials.
+Particle swarm minimizes that average on [0, 1].
 
 Trial seeds derive from (root seed, pair index, trial index) only, never
 from the candidate weight, so every candidate is scored on the same draws
 (common random numbers); a noisy objective would otherwise swamp the
-swarm.  The coarser levels then repeat exactly for every candidate, so
-``train_cascade`` keeps their outcomes for the length of one training run
-and ``optimizer.register`` reuses them instead of running them again.
-Failed registrations keep their large error: fragile extremes are exactly
-what the penalty should push away from.
+swarm.  Once a level's weight is frozen, its estimate for each (pair,
+trial) is therefore fixed too: ``train_cascade`` runs the frozen level once
+per (pair, trial) from the estimate carried down from the level above, and
+every candidate at the next finer level starts from that result.  Failed
+registrations keep their large error: fragile extremes are exactly what
+the penalty should push away from, and a (pair, trial) that fails at a
+frozen level is charged the identity's error at every finer level without
+running again.
 """
 
 from __future__ import annotations
@@ -103,6 +105,38 @@ def etre_term(gold: RigidParams, est: RigidParams, pts) -> float:
     return float(np.mean(np.sum(d * d, axis=1)))
 
 
+def _level_estimates(level, betas, pairs, u_trials, opt_cfg, rate, seed, num_levels, starts):
+    """Level-``level`` estimates [pair][trial], None where a run failed.
+
+    Without ``starts`` each run is the cascade num_levels..level from the
+    identity; with them, level ``level`` alone from ``starts[pair][trial]``,
+    and a None start stays None without a run.
+    """
+    estimates = []
+    for i, pair in enumerate(pairs):
+        try:
+            prepared = pair.prepared
+        except Exception as e:
+            raise type(e)(f"pair {i}: {e}") from e
+        row = []
+        for trial in range(u_trials):
+            init = None if starts is None else starts[i][trial]
+            est = None  # stays None for a run that fails or has failed above
+            if starts is None or init is not None:
+                try:
+                    est = optimizer.register(
+                        pair.fixed, pair.moving, sampler_kind="mixed", betas=betas,
+                        rate=rate, cfg=opt_cfg, seed=derive_seed(seed, _TRIAL_STREAM, i, trial),
+                        num_levels=num_levels if starts is None else level,
+                        stop_level=level, prepared=prepared, init=init,
+                    ).final_params
+                except optimizer.InitializationOutsideOverlapError:
+                    pass
+            row.append(est)
+        estimates.append(row)
+    return estimates
+
+
 def objective_Q(
     level: int,
     beta: float,
@@ -113,14 +147,14 @@ def objective_Q(
     rate: float,
     seed: int,
     num_levels: int = 4,
-    level_cache: dict | None = None,
+    starts: list | None = None,
 ) -> float:
     """Mean ETRE of the level-r estimate over pairs and Monte-Carlo trials.
 
     frozen_betas must cover levels num_levels..level+1; the candidate beta
-    is used at ``level`` itself and the cascade stops there.  A dict passed
-    as ``level_cache`` keeps the coarser levels' outcomes, one entry per
-    pair index, for later calls with the same pairs and settings.
+    is used at ``level`` itself and the cascade stops there.  Given
+    ``starts``, the frozen level-(level+1) estimates per pair and trial
+    (None where that run failed), level ``level`` runs alone from them.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
@@ -132,29 +166,15 @@ def objective_Q(
     betas = {r: frozen_betas[r] for r in range(level + 1, num_levels + 1)}
     betas[level] = float(beta)
 
-    terms = []
-    for pair_index, pair in enumerate(pairs):
-        try:
-            prepared = pair.prepared
-        except Exception as e:
-            raise type(e)(f"pair {pair_index}: {e}") from e
-        init = RigidParams.identity(prepared.center)
-        pair_cache = None if level_cache is None else level_cache.setdefault(pair_index, {})
-        for trial in range(u_trials):
-            trial_seed = derive_seed(seed, _TRIAL_STREAM, pair_index, trial)
-            try:
-                result = optimizer.register(
-                    pair.fixed, pair.moving,
-                    sampler_kind="mixed", betas=betas, rate=rate,
-                    cfg=opt_cfg, seed=trial_seed,
-                    num_levels=num_levels, stop_level=level,
-                    prepared=prepared, level_cache=pair_cache,
-                )
-                est = result.final_params
-            except optimizer.InitializationOutsideOverlapError:
-                est = init  # failed run: charge the full initialization error
-            terms.append(etre_term(pair.gold, est, pair.probe_points))
-    return float(np.mean(terms))
+    pairs = list(pairs)
+    estimates = _level_estimates(
+        level, betas, pairs, u_trials, opt_cfg, rate, seed, num_levels, starts)
+    # a failed run is charged the full initialization error
+    return float(np.mean([
+        etre_term(pair.gold, RigidParams.identity(pair.prepared.center) if est is None else est,
+                  pair.probe_points)
+        for pair, row in zip(pairs, estimates) for est in row
+    ]))
 
 
 def pso_minimize(f, cfg: PsoConfig):
@@ -219,14 +239,14 @@ def train_cascade(
         raise ValueError("need at least one training pair")
     betas: dict = {}
     report_levels = []
-    level_cache: dict = {}
+    starts = None
     for r in range(num_levels, 0, -1):
         frozen = dict(betas)
 
-        def objective(beta, _level=r, _frozen=frozen):
+        def objective(beta, _level=r, _frozen=frozen, _starts=starts):
             return objective_Q(
                 _level, beta, pairs, u_trials, _frozen,
-                opt_cfg, rate, seed, num_levels, level_cache,
+                opt_cfg, rate, seed, num_levels, _starts,
             )
 
         level_cfg = replace(pso_cfg, seed=derive_seed(seed, _PSO_STREAM, r))
@@ -238,6 +258,9 @@ def train_cascade(
             "best_q_mm2": best_q,
             "history": history,
         })
+        if r > 1:  # level r is frozen: run it once, and start level r-1 from it
+            starts = _level_estimates(r, betas, pairs, u_trials, opt_cfg, rate, seed,
+                                      num_levels, starts)
     report = {
         "levels": report_levels,
         "rate": rate,

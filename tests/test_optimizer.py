@@ -209,6 +209,10 @@ def test_register_validates_arguments(pair32):
         optimizer.register(fixed, moving, sampler_kind="urs", stop_level=9)
     with pytest.raises(ValueError, match="beta"):
         optimizer.register(fixed, moving, sampler_kind="mixed", betas={4: 0.2})
+    prepared = optimizer.prepare(fixed, moving)
+    with pytest.raises(ValueError, match="num_levels=5 exceeds the prepared pair's 4 levels"):
+        optimizer.register(fixed, moving, sampler_kind="urs", num_levels=5,
+                           prepared=prepared)
 
 
 def test_register_recovers_translation(pair32):
@@ -417,53 +421,21 @@ def test_draws_are_made_ahead_on_one_worker(pair32, draw_threads):
         assert lv["iterations"] <= made <= cfg.max_iters
 
 
-def test_reused_levels_keep_the_in_line_draws(pair32):
+@pytest.mark.parametrize("kind", sampler.KINDS)
+def test_a_level_resumed_from_its_start_keeps_the_in_line_draws(pair32, kind):
     fixed, moving, _ = pair32
-    run = dict(sampler_kind="gms", rate=0.01, cfg=EARLY_STOP_CFG, seed=8)
-    reference = in_line_cascade(fixed, moving, "gms", 0.01, EARLY_STOP_CFG, 8)
+    betas = {r: 0.3 for r in range(1, 5)}
+    run = dict(sampler_kind=kind, betas=betas, rate=0.01, cfg=EARLY_STOP_CFG, seed=8)
+    reference = in_line_cascade(fixed, moving, kind, 0.01, EARLY_STOP_CFG, 8, betas)
     prepared = optimizer.prepare(fixed, moving)
-    cache = {}
-    optimizer.register(fixed, moving, stop_level=2, prepared=prepared, level_cache=cache, **run)
-    assert len(cache) == 2
-    result = optimizer.register(fixed, moving, prepared=prepared, level_cache=cache, **run)
-    assert_same_levels(result, reference)
-
-
-def test_register_reuses_intermediate_levels(pair32, monkeypatch):
-    fixed, moving, _ = pair32
-    run = dict(sampler_kind="urs", rate=0.01, cfg=OptimizerConfig(max_iters=3), seed=4)
-    fresh = optimizer.register(fixed, moving, **run)
-    prepared = optimizer.prepare(fixed, moving)
-    cache = {}
-    optimizer.register(fixed, moving, stop_level=2, prepared=prepared, level_cache=cache, **run)
-    assert len(cache) == 2  # levels 4 and 3; level 2 was the last
-    levels_run = []
-    real = optimizer.optimize_level
-
-    def counting(fixed_r, *args, **kwargs):
-        levels_run.append(fixed_r.dims)
-        return real(fixed_r, *args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "optimize_level", counting)
-    reused = optimizer.register(fixed, moving, prepared=prepared, level_cache=cache, **run)
-    assert levels_run == [prepared.fixed_pyramid.level(r).dims for r in (2, 1)]
-    np.testing.assert_array_equal(
-        reused.final_params.as_vector(), fresh.final_params.as_vector()
+    coarse = optimizer.register(fixed, moving, stop_level=2, prepared=prepared, **run)
+    assert_same_levels(coarse, reference[:-1])
+    finest = optimizer.register(
+        fixed, moving, num_levels=1, stop_level=1, prepared=prepared,
+        init=coarse.final_params, **run,
     )
-    assert [lv["trace"] for lv in reused.levels] == [lv["trace"] for lv in fresh.levels]
-    # a reused trace is the caller's own copy
-    reused.levels[0]["trace"].clear()
-    again = optimizer.register(fixed, moving, prepared=prepared, level_cache=cache, **run)
-    assert again.levels[0]["trace"] == fresh.levels[0]["trace"]
-    # another seed draws differently, so nothing is reused
-    levels_run.clear()
-    optimizer.register(fixed, moving, prepared=prepared, level_cache=cache, **dict(run, seed=5))
-    assert len(levels_run) == 4
-    # without a cache every call runs every level, on the same prepared pair too
-    levels_run.clear()
-    optimizer.register(fixed, moving, prepared=prepared, **run)
-    optimizer.register(fixed, moving, prepared=prepared, **run)
-    assert len(levels_run) == 8
+    assert [lv["level"] for lv in finest.levels] == [1]
+    assert_same_levels(finest, reference[-1:])
 
 
 def test_register_escape_fractions_are_consistent(pair32):

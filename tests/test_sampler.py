@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampreg import sampler
 from sampreg.rng import make_rng
@@ -107,6 +109,21 @@ def test_gms_sum_invariant_under_heavy_clipping():
         want = min(m, g.num_voxels)
         assert abs(d.probs.sum() - want) <= 1e-6 * want
         assert d.probs.min() >= 0.0 and d.probs.max() <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=8, max_size=8,
+    ).filter(any),
+    m=st.floats(1e-3, 16.0),
+)
+def test_gms_probabilities_are_unit_bounded_with_mass_min_m_npos(values, m):
+    d = sampler.build_gms(gradient_volume(values), m)
+    n_pos = sum(v > 0 for v in values)
+    assert d.probs.min() >= 0.0 and d.probs.max() <= 1.0
+    assert d.probs.sum() == pytest.approx(min(m, n_pos), rel=1e-9)
+    assert d.expected_count == d.probs.sum()
 
 
 # ---------------------------------------------------------------------------

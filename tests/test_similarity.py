@@ -233,6 +233,22 @@ def test_nmi_single_cell_returns_two_by_continuity():
     assert similarity.nmi(make_hist(bins)) == 2.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 6),
+    cells=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e6)), min_size=36, max_size=36),
+    product=st.booleans(),
+)
+def test_nmi_lies_in_one_to_two_without_negative_cells(size, cells, product):
+    # a product of marginals sits at the lower bound
+    bins = (np.outer(cells[:size], cells[size:2 * size]) if product
+            else np.array(cells[: size * size]).reshape(size, size))
+    if not bins.any():
+        return
+    value = similarity.nmi(make_hist(bins))
+    assert 1.0 - 1e-12 <= value <= 2.0 + 1e-12  # to rounding: a product can read 1 - 1 ulp
+
+
 def test_nmi_range_on_random_histograms():
     rng = make_rng(45)
     for _ in range(50):

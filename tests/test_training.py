@@ -30,9 +30,10 @@ class StubResult:
 def install_register_stub(monkeypatch, calls, est_factory):
     def stub(fixed, moving, sampler_kind="mixed", betas=None, rate=0.01,
              cfg=None, seed=0, num_levels=4, stop_level=1, prepared=None,
-             level_cache=None):
+             init=None):
         calls.append({
-            "betas": dict(betas), "seed": seed, "stop_level": stop_level,
+            "betas": dict(betas), "seed": seed, "num_levels": num_levels,
+            "stop_level": stop_level, "init": init,
             "rate": rate, "sampler_kind": sampler_kind,
             "num_bins": cfg.num_bins, "kernel_radius": cfg.kernel_radius,
         })
@@ -263,24 +264,38 @@ def test_pso_handles_constant_objective():
 def test_train_cascade_budget_and_freezing(monkeypatch):
     pairs = [tiny_pair(5), tiny_pair(6, (0, 1, 0))]
     calls = []
-    install_register_stub(
-        monkeypatch, calls, lambda seed: RigidParams.identity((6, 6, 6))
-    )
+    per_level = 3 * 2 * 2 * 2  # particles * iterations * pairs * trials
+    frozen_runs = {}
+
+    def est_factory(seed):
+        est = RigidParams(t=(len(calls), 0, 0), center=(6, 6, 6))
+        if per_level < len(calls) <= per_level + 4:
+            frozen_runs[seed] = est
+        return est
+
+    install_register_stub(monkeypatch, calls, est_factory)
     pso_cfg = PsoConfig(particles=3, iterations=2, seed=0)
     betas, report = training.train_cascade(
         pairs, u_trials=2, pso_cfg=pso_cfg,
         opt_cfg=optimizer.OptimizerConfig(num_bins=24, kernel_radius=3),
         rate=0.01, seed=9, num_levels=2,
     )
-    # particles * iterations * pairs * trials registrations per level
-    assert len(calls) == 3 * 2 * 2 * 2 * 2
+    # per_level registrations per level, plus one run of the frozen level 2
+    # per (pair, trial)
+    assert len(calls) == per_level * 2 + 2 * 2
     assert all(c["num_bins"] == 24 and c["kernel_radius"] == 3 for c in calls)
     assert set(betas) == {1, 2}
     assert all(0.0 <= b <= 1.0 for b in betas.values())
-    # level-1 search must reuse the level-2 weight already learned
-    level1_calls = [c for c in calls if c["stop_level"] == 1]
-    assert level1_calls
-    assert all(c["betas"][2] == betas[2] for c in level1_calls)
+    level2, frozen, level1 = (
+        calls[:per_level], calls[per_level:per_level + 4], calls[per_level + 4:])
+    assert all(c["stop_level"] == 2 and c["init"] is None for c in level2)
+    # the frozen level runs once per (pair, trial) with the learned weight
+    assert all(c["stop_level"] == 2 and c["betas"][2] == betas[2] for c in frozen)
+    assert len(frozen_runs) == 4
+    # level-1 candidates run level 1 alone, each from its (pair, trial)'s
+    # frozen level-2 estimate
+    assert all(c["num_levels"] == c["stop_level"] == 1 for c in level1)
+    assert all(c["init"] is frozen_runs[c["seed"]] for c in level1)
 
     assert [lv["level"] for lv in report["levels"]] == [2, 1]
     for lv in report["levels"]:
@@ -289,6 +304,39 @@ def test_train_cascade_budget_and_freezing(monkeypatch):
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
     assert report["num_pairs"] == 2
     assert report["pso"]["particles"] == 3
+
+
+def test_train_cascade_charges_a_failed_frozen_level_at_finer_levels(monkeypatch):
+    pairs = [tiny_pair(8), tiny_pair(9, (0, 2, 0))]
+    calls = []
+    # 2 particles * 2 iterations * 2 pairs * 2 trials level-3 candidates come
+    # first; the frozen level-3 runs follow, pair-major, and the last of them
+    # (pair 1, trial 1) fails
+    failing_call = 2 * 2 * 2 * 2 + 4
+
+    def stub(fixed, moving, seed=0, stop_level=1, **kwargs):
+        calls.append((seed, stop_level))
+        if len(calls) == failing_call:
+            raise optimizer.InitializationOutsideOverlapError("no overlap")
+        pair = pairs[0] if fixed is pairs[0].fixed else pairs[1]
+        return StubResult(pair.gold)
+
+    monkeypatch.setattr(optimizer, "register", stub)
+    _, report = training.train_cascade(
+        pairs, u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=2),
+        opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=1, num_levels=3,
+    )
+    failed_seed, failed_level = calls[failing_call - 1]
+    assert failed_level == 3
+    # that (pair, trial) runs at no finer level ...
+    assert [level for seed, level in calls if seed == failed_seed] == [3] * 5
+    # level-2 candidates, frozen level 2 and level-1 candidates, each on the
+    # three (pair, trial)s left
+    assert len(calls) == failing_call + 4 * 3 + 3 + 4 * 3
+    # ... and is charged the identity's error there, 2 mm at every probe;
+    # the other three (pair, trial)s land on gold
+    q = [lv["best_q_mm2"] for lv in report["levels"]]
+    assert q == [0.0, pytest.approx(4.0 / 4), pytest.approx(4.0 / 4)]
 
 
 def test_train_cascade_runs_frozen_levels_once_per_call(pair32, monkeypatch):

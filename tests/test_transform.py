@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from sampreg import transform
@@ -71,6 +73,22 @@ def test_euler_extraction_round_trips():
         m = transform.rotation_matrix(r)
         back = transform.euler_from_matrix(m)
         np.testing.assert_allclose(back, r, atol=1e-9)
+
+
+# Angles one step short of +-pi, so atan2 has a single answer.
+_ANGLE = st.floats(-np.pi + 1e-6, np.pi - 1e-6)
+
+
+def _vec3(elements):
+    return st.lists(elements, min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rx=_ANGLE, ry=st.floats(-np.pi / 2 + 0.01, np.pi / 2 - 0.01), rz=_ANGLE)
+def test_euler_angles_round_trip_away_from_gimbal_lock(rx, ry, rz):
+    back = transform.euler_from_matrix(transform.rotation_matrix((rx, ry, rz)))
+    wrapped = (back - [rx, ry, rz] + np.pi) % (2 * np.pi) - np.pi
+    np.testing.assert_allclose(wrapped, 0.0, atol=1e-9)
 
 
 def test_gimbal_lock_extraction_uses_rz_zero_branch():
@@ -146,6 +164,17 @@ def test_invert_round_trips_points():
             transform.invert(params), transform.apply_many(params, pts)
         )
         np.testing.assert_allclose(back, pts, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=_vec3(st.floats(-50, 50)), r=_vec3(_ANGLE), center=_vec3(st.floats(-50, 50)),
+    pts=st.lists(_vec3(st.floats(-100, 100)), min_size=1, max_size=8),
+)
+def test_invert_undoes_apply_many(t, r, center, pts):
+    params = RigidParams(t=t, r=r, center=center)
+    back = transform.apply_many(transform.invert(params), transform.apply_many(params, pts))
+    np.testing.assert_allclose(back, pts, atol=1e-9)
 
 
 def test_rigidity_preserves_pairwise_distances():
