@@ -46,6 +46,9 @@ _LEVEL_STREAM = 11
 # still drift slowly toward gold at the lowest rates.
 _STALL_WINDOW = 15
 
+# Draws an iteration makes before it gives up on an empty subset.
+_EMPTY_DRAWS = 101
+
 # Expected indices a level's queued draws may hold together (2 MB of
 # int64), so dense rates on large volumes queue fewer than ``max_iters``.
 _AHEAD_INDICES = 1 << 18
@@ -53,6 +56,10 @@ _AHEAD_INDICES = 1 << 18
 
 class InitializationOutsideOverlapError(ValueError):
     """The starting transform leaves no sampled voxel inside the moving volume."""
+
+
+class EmptyDrawError(ValueError):
+    """Every draw an iteration tried selected no voxel."""
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,8 @@ def optimize_level(
     per iteration, each recording incumbent and trial metric values on the
     shared draw, the acceptance ratio, the radius used, and the draw size.
     An empty draw (possible at tiny budgets) is redrawn from the same
-    stream, keeping runs seed-deterministic.
+    stream, keeping runs seed-deterministic; after ``_EMPTY_DRAWS`` empty
+    draws in a row the level raises ``EmptyDrawError``.
 
     ``drawn`` holds futures of the first draws from ``rng``, made ahead
     in order (see ``register``).  They are taken one per draw; once they
@@ -221,10 +229,15 @@ def optimize_level(
 
     for iteration in range(cfg.max_iters):
         idx = next_draw()
-        for _ in range(100):
-            if idx.size:
-                break
+        draws = 1
+        while not idx.size:
+            if draws == _EMPTY_DRAWS:
+                raise EmptyDrawError(
+                    f"iteration {iteration}: {draws} draws in a row selected no voxel "
+                    f"(expected count {dist.expected_count:.3g} a draw)"
+                )
             idx = next_draw()
+            draws += 1
         try:
             ev = similarity.evaluate(
                 fixed, moving, params, idx, cfg.num_bins, cfg.kernel_radius,
@@ -442,8 +455,8 @@ def register(
                     dist, params, cfg, rng,
                     prepared.fixed_range, prepared.moving_range, drawn,
                 )
-            except InitializationOutsideOverlapError as e:
-                raise InitializationOutsideOverlapError(f"level {r}: {e}") from e
+            except (InitializationOutsideOverlapError, EmptyDrawError) as e:
+                raise type(e)(f"level {r}: {e}") from e
             for future in drawn:
                 future.cancel()
             for row in trace["rows"]:

@@ -17,10 +17,26 @@ registrations keep their large error: fragile extremes are exactly what
 the penalty should push away from, and a (pair, trial) that fails at a
 frozen level is charged the identity's error at every finer level without
 running again.
+
+Once a swarm iteration's positions are fixed its particles are independent,
+so ``pso_minimize`` scores them as one batch (the synchronous parallel PSO
+of Schutte et al., 2004), and ``train_cascade`` sends every batch of level
+runs, and each frozen level's runs, to one process pool that lives for the
+call.  The pool forks one worker per CPU this process may run on, at most
+one per run of a batch; forking lets the workers share the pairs' prepared
+pyramids instead of unpickling a copy each.  Results come back in
+submission order and each run depends only on its (pair, trial, weights,
+start estimate), so outputs are bit for bit those of running in-process,
+which is what happens on one CPU or while other threads run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
@@ -105,36 +121,132 @@ def etre_term(gold: RigidParams, est: RigidParams, pts) -> float:
     return float(np.mean(np.sum(d * d, axis=1)))
 
 
-def _level_estimates(level, betas, pairs, u_trials, opt_cfg, rate, seed, num_levels, starts):
-    """Level-``level`` estimates [pair][trial], None where a run failed.
+def _prepared(pair: TrainingPair, i: int) -> optimizer.PreparedPair:
+    try:
+        return pair.prepared
+    except Exception as e:
+        raise type(e)(f"pair {i}: {e}") from e
+
+
+# Engine errors that charge a run the identity's error instead of raising.
+_CHARGED = (optimizer.InitializationOutsideOverlapError, optimizer.EmptyDrawError)
+
+
+def _level_run(pairs, opt_cfg, rate, run):
+    """Estimate of one level run, None where it fails with a charged error."""
+    i, run_seed, betas, num_levels, level, init = run
+    pair = pairs[i]
+    try:
+        return optimizer.register(
+            pair.fixed, pair.moving, sampler_kind="mixed", betas=betas,
+            rate=rate, cfg=opt_cfg, seed=run_seed, num_levels=num_levels,
+            stop_level=level, prepared=_prepared(pair, i), init=init,
+        ).final_params
+    except _CHARGED:
+        return None
+
+
+# (pairs, opt_cfg, rate) in a pool worker, set by _start_worker; None elsewhere.
+_worker_args = None
+
+
+def _start_worker(*args):
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_level_run(run):
+    return _level_run(*_worker_args, run)
+
+
+def _pool_workers(batch: int) -> int:
+    """Workers for batches of up to ``batch`` runs: one per CPU this process
+    may run on, at most one per run.
+
+    1, meaning in-process, where the platform cannot say, or while other
+    threads run: a forked worker would inherit any lock they hold.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or threading.active_count() > 1:
+        return 1
+    return min(len(affinity(0)), batch)
+
+
+class _LevelRuns:
+    """Runs batches of level runs, in order, and counts them.
+
+    With ``workers`` > 1 the runs go to a fork-started process pool, whose
+    workers inherit the (already prepared) pairs; otherwise they run here.
+    """
+
+    def __init__(self, pairs, opt_cfg, rate, workers=1):
+        self._args = (pairs, opt_cfg, rate)
+        self._pool = None if workers <= 1 else ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=self._args,
+        )
+        self.made = 0
+        self.failed = 0
+
+    def __call__(self, runs: list) -> list:
+        if self._pool is None:
+            results = [_level_run(*self._args, run) for run in runs]
+        else:
+            results = list(self._pool.map(_worker_level_run, runs))
+        self.made += len(runs)
+        self.failed += sum(est is None for est in results)
+        return results
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+
+def _level_estimates(run_all, level, betas_list, pairs, u_trials, seed, num_levels, starts):
+    """Level-``level`` estimates [candidate][pair][trial], one candidate per
+    betas dict, None where a run failed; every run goes to ``run_all`` as one
+    batch, candidate-major, then pair, then trial.
 
     Without ``starts`` each run is the cascade num_levels..level from the
     identity; with them, level ``level`` alone from ``starts[pair][trial]``,
     and a None start stays None without a run.
     """
-    estimates = []
-    for i, pair in enumerate(pairs):
-        try:
-            prepared = pair.prepared
-        except Exception as e:
-            raise type(e)(f"pair {i}: {e}") from e
-        row = []
-        for trial in range(u_trials):
-            init = None if starts is None else starts[i][trial]
-            est = None  # stays None for a run that fails or has failed above
-            if starts is None or init is not None:
-                try:
-                    est = optimizer.register(
-                        pair.fixed, pair.moving, sampler_kind="mixed", betas=betas,
-                        rate=rate, cfg=opt_cfg, seed=derive_seed(seed, _TRIAL_STREAM, i, trial),
-                        num_levels=num_levels if starts is None else level,
-                        stop_level=level, prepared=prepared, init=init,
-                    ).final_params
-                except optimizer.InitializationOutsideOverlapError:
-                    pass
-            row.append(est)
-        estimates.append(row)
+    slots = [(c, i, trial) for c in range(len(betas_list)) for i in range(len(pairs))
+             for trial in range(u_trials) if starts is None or starts[i][trial] is not None]
+    runs = [
+        (i, derive_seed(seed, _TRIAL_STREAM, i, trial), betas_list[c],
+         num_levels if starts is None else level, level,
+         None if starts is None else starts[i][trial])
+        for c, i, trial in slots
+    ]
+    estimates = [[[None] * u_trials for _ in pairs] for _ in betas_list]
+    for (c, i, trial), est in zip(slots, run_all(runs)):
+        estimates[c][i][trial] = est
     return estimates
+
+
+def _candidate_q(run_all, level, candidates, pairs, u_trials, frozen_betas, seed,
+                 num_levels, starts) -> list:
+    """Mean ETRE of each candidate weight at ``level`` (see ``objective_Q``),
+    from one batch of level runs."""
+    for beta in candidates:
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if u_trials < 1:
+        raise ValueError("need at least one Monte-Carlo trial")
+    missing = [r for r in range(level + 1, num_levels + 1) if r not in frozen_betas]
+    if missing:
+        raise ValueError(f"frozen_betas missing levels {missing}")
+    frozen = {r: frozen_betas[r] for r in range(level + 1, num_levels + 1)}
+    betas_list = [{**frozen, level: float(beta)} for beta in candidates]
+    estimates = _level_estimates(
+        run_all, level, betas_list, pairs, u_trials, seed, num_levels, starts)
+    # a failed run is charged the full initialization error
+    return [float(np.mean([
+        etre_term(pair.gold, RigidParams.identity(pair.prepared.center) if est is None else est,
+                  pair.probe_points)
+        for pair, row in zip(pairs, rows) for est in row
+    ])) for rows in estimates]
 
 
 def objective_Q(
@@ -155,34 +267,22 @@ def objective_Q(
     is used at ``level`` itself and the cascade stops there.  Given
     ``starts``, the frozen level-(level+1) estimates per pair and trial
     (None where that run failed), level ``level`` runs alone from them.
+    Runs happen in this process.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if u_trials < 1:
-        raise ValueError("need at least one Monte-Carlo trial")
-    missing = [r for r in range(level + 1, num_levels + 1) if r not in frozen_betas]
-    if missing:
-        raise ValueError(f"frozen_betas missing levels {missing}")
-    betas = {r: frozen_betas[r] for r in range(level + 1, num_levels + 1)}
-    betas[level] = float(beta)
-
     pairs = list(pairs)
-    estimates = _level_estimates(
-        level, betas, pairs, u_trials, opt_cfg, rate, seed, num_levels, starts)
-    # a failed run is charged the full initialization error
-    return float(np.mean([
-        etre_term(pair.gold, RigidParams.identity(pair.prepared.center) if est is None else est,
-                  pair.probe_points)
-        for pair, row in zip(pairs, estimates) for est in row
-    ]))
+    return _candidate_q(_LevelRuns(pairs, opt_cfg, rate), level, [beta], pairs, u_trials,
+                        frozen_betas, seed, num_levels, starts)[0]
 
 
 def pso_minimize(f, cfg: PsoConfig):
     """Global-best PSO on a scalar interval; returns (best_x, best_value, history).
 
-    Initial positions are uniform over the bounds and count as the first
-    iteration's evaluations, so f is called exactly particles*iterations
-    times.  Deterministic under cfg.seed.
+    ``f`` takes one iteration's positions, an array of ``particles``
+    values, and returns one objective value per position; personal and
+    global bests are then updated in particle order.  Initial positions are
+    uniform over the bounds and count as the first iteration's
+    evaluations, so f is called once per iteration and evaluates exactly
+    particles*iterations positions.  Deterministic under cfg.seed.
     """
     lo, hi = cfg.bounds
     rng = make_rng(cfg.seed, _PSO_STREAM)
@@ -203,8 +303,12 @@ def pso_minimize(f, cfg: PsoConfig):
                  + cfg.social * r2 * (gbest_x - x))
             v = np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp)
             x = np.clip(x + v, lo, hi)
+        values = np.asarray(f(x.copy()), dtype=np.float64)
+        if values.shape != x.shape:
+            raise ValueError(f"objective returned shape {values.shape} "
+                             f"for {cfg.particles} positions")
         for p in range(cfg.particles):
-            val = float(f(float(x[p])))
+            val = float(values[p])
             if val < pbest_val[p]:
                 pbest_val[p] = val
                 pbest_x[p] = x[p]
@@ -231,36 +335,49 @@ def train_cascade(
     """Learn one mixture weight per level, coarsest first.
 
     Returns (betas, report): betas maps level -> learned weight; the report
-    carries per-level swarm histories and best objective values, plus the
-    settings needed to reproduce the run.
+    carries per-level swarm histories and best objective values, the level
+    runs made (``runs``: candidates plus the frozen run), how many of them
+    were charged the identity's error (``failed``) and the level's wall time
+    (``elapsed_s``), plus the settings needed to reproduce the run.  Level
+    runs go to a process pool with one worker per usable CPU, at most one
+    per run of a swarm iteration (see the module notes).
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one training pair")
+    for i, pair in enumerate(pairs):
+        _prepared(pair, i)  # before the pool starts, so its workers inherit them
+    run_all = _LevelRuns(pairs, opt_cfg, rate,
+                         _pool_workers(pso_cfg.particles * len(pairs) * u_trials))
     betas: dict = {}
     report_levels = []
     starts = None
-    for r in range(num_levels, 0, -1):
-        frozen = dict(betas)
+    try:
+        for r in range(num_levels, 0, -1):
+            start, made, failed = time.perf_counter(), run_all.made, run_all.failed
+            frozen = dict(betas)
 
-        def objective(beta, _level=r, _frozen=frozen, _starts=starts):
-            return objective_Q(
-                _level, beta, pairs, u_trials, _frozen,
-                opt_cfg, rate, seed, num_levels, _starts,
-            )
+            def objective(positions, _level=r, _frozen=frozen, _starts=starts):
+                return _candidate_q(run_all, _level, positions, pairs, u_trials, _frozen,
+                                    seed, num_levels, _starts)
 
-        level_cfg = replace(pso_cfg, seed=derive_seed(seed, _PSO_STREAM, r))
-        best_beta, best_q, history = pso_minimize(objective, level_cfg)
-        betas[r] = float(best_beta)
-        report_levels.append({
-            "level": r,
-            "beta": betas[r],
-            "best_q_mm2": best_q,
-            "history": history,
-        })
-        if r > 1:  # level r is frozen: run it once, and start level r-1 from it
-            starts = _level_estimates(r, betas, pairs, u_trials, opt_cfg, rate, seed,
-                                      num_levels, starts)
+            level_cfg = replace(pso_cfg, seed=derive_seed(seed, _PSO_STREAM, r))
+            best_beta, best_q, history = pso_minimize(objective, level_cfg)
+            betas[r] = float(best_beta)
+            if r > 1:  # level r is frozen: run it once, and start level r-1 from it
+                starts = _level_estimates(run_all, r, [dict(betas)], pairs, u_trials, seed,
+                                          num_levels, starts)[0]
+            report_levels.append({
+                "level": r,
+                "beta": betas[r],
+                "best_q_mm2": best_q,
+                "history": history,
+                "runs": run_all.made - made,
+                "failed": run_all.failed - failed,
+                "elapsed_s": time.perf_counter() - start,
+            })
+    finally:
+        run_all.close()
     report = {
         "levels": report_levels,
         "rate": rate,

@@ -269,7 +269,49 @@ def _load_nifti(buf: bytes) -> Volume:
             "(payload, or scl_slope/scl_inter at byte 112)"
         )
     data = vals.reshape((nx, ny, nz), order="F")
-    return Volume(data=data, spacing=spacing, origin=np.zeros(3))
+    return Volume(data=data, spacing=spacing, origin=_nifti_origin(buf, pixdim[0]))
+
+
+def _nifti_origin(buf: bytes, qfac: float) -> np.ndarray:
+    """Position of voxel 0 from a qform or sform that only translates.
+
+    A qform (qform_code > 0) with quatern_b/c/d all 0 and qfac >= 0 puts it
+    at qoffset_x/y/z.  Without one, an sform (sform_code > 0) whose srow
+    rows scale their own axis by a positive factor puts it at the srow
+    translation column.  Any rotation or flip is rejected, since a Volume
+    has none; with both codes 0 the origin is 0.
+    """
+    qform_code, sform_code = struct.unpack_from("<2h", buf, 252)
+    origin = np.zeros(3)
+    if sform_code > 0:
+        srow = np.array(struct.unpack_from("<12f", buf, 280), dtype=np.float64).reshape(3, 4)
+        for k, axis in enumerate("xyz"):
+            if not (srow[k, k] > 0 and np.all(np.delete(srow[k, :3], k) == 0)):
+                raise VolumeFormatError(
+                    f"NIfTI srow_{axis} {srow[k].tolist()} at byte {280 + 16 * k} "
+                    "rotates or flips the grid; only translations are supported"
+                )
+        origin = srow[:, 3]
+    if qform_code > 0:
+        for name, offset in (("quatern_b", 256), ("quatern_c", 260), ("quatern_d", 264)):
+            value = struct.unpack_from("<f", buf, offset)[0]
+            if value != 0.0:
+                raise VolumeFormatError(
+                    f"NIfTI {name}={value} at byte {offset} rotates the grid; "
+                    "only translations are supported"
+                )
+        if qfac < 0:
+            raise VolumeFormatError(
+                f"NIfTI qfac pixdim[0]={qfac} at byte 76 flips the grid; "
+                "only translations are supported"
+            )
+        origin = np.array(struct.unpack_from("<3f", buf, 268), dtype=np.float64)
+    if not np.all(np.isfinite(origin)):
+        raise VolumeFormatError(
+            f"non-finite NIfTI origin {origin.tolist()} "
+            f"({'qoffset at byte 268' if qform_code > 0 else 'srow at byte 280'})"
+        )
+    return origin
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ fixture; the lines are printed after the test run so pass/fail status per
 criterion is visible even under output capture.
 """
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -33,13 +34,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(autouse=True)
-def no_thread_outlives_its_test():
-    """Fail any test that ends with a thread it did not start with."""
+def no_thread_or_child_outlives_its_test():
+    """Fail any test that ends with a thread it did not start with, or with
+    a child process still alive."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"threads still running after the test: {left}")
+    children = multiprocessing.active_children()
+    if children:
+        pytest.fail(f"child processes still alive after the test: {children}")
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from test_training import use_cpus
+
 from sampreg import cli, optimizer, training, transform
 from sampreg.sampler import save_betas
 from sampreg.volume import Volume, load_volume, save_volume
@@ -68,6 +70,7 @@ def capture_histogram_settings(monkeypatch):
             elapsed_s=0.0,
         )
 
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "register", stub)
     return seen
 

@@ -8,6 +8,7 @@ import pytest
 
 from sampreg import bench, optimizer, sampler, training, transform
 from sampreg.optimizer import (
+    EmptyDrawError,
     InitializationOutsideOverlapError,
     OptimizerConfig,
     RegistrationResult,
@@ -490,3 +491,25 @@ def test_converged_finest_level_stops_as_stationary():
     assert all(lv["termination"] != "budget" for lv in result.levels)
     tre = bench.evaluate_case(result.final_params, pair.gold, pair.probe_points).max_tre
     assert tre <= 1.0
+
+
+def test_empty_draws_raise_empty_draw_error_naming_the_cause(phantom32, monkeypatch):
+    draws = []
+
+    def empty(dist, rng):
+        draws.append(dist.expected_count)
+        return np.empty(0, dtype=np.int64)
+
+    monkeypatch.setattr(sampler, "draw", empty)
+    with pytest.raises(EmptyDrawError) as exc:
+        optimizer.register(
+            phantom32, phantom32, sampler_kind="urs", rate=0.01,
+            cfg=OptimizerConfig(max_iters=5), seed=0,
+        )
+    # the coarsest level gives up on its first iteration, after 101 draws
+    assert len(draws) >= 101 and draws[0] == round(0.01 * phantom32.num_voxels)
+    assert str(exc.value) == (
+        f"level 4: iteration 0: 101 draws in a row selected no voxel "
+        f"(expected count {draws[0]:.3g} a draw)"
+    )
+    assert not isinstance(exc.value, InitializationOutsideOverlapError)

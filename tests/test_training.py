@@ -2,7 +2,13 @@
 
 Registration is stubbed out wherever arithmetic is under test, so the
 objective values can be computed by hand and call budgets counted exactly.
+A stub's call log only sees runs made in the test's own process, so tests
+that read one pin ``train_cascade`` to a single CPU with ``use_cpus``.
 """
+
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +33,20 @@ class StubResult:
         self.final_params = params
 
 
+def use_cpus(monkeypatch, n):
+    """Make this process look as if it may run on n CPUs, as under taskset.
+
+    ``train_cascade`` sizes its pool from that count and makes its level
+    runs in this process when it is 1.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def untimed(report):
+    """A training report's levels without their wall times."""
+    return [{k: v for k, v in lv.items() if k != "elapsed_s"} for lv in report["levels"]]
+
+
 def install_register_stub(monkeypatch, calls, est_factory):
     def stub(fixed, moving, sampler_kind="mixed", betas=None, rate=0.01,
              cfg=None, seed=0, num_levels=4, stop_level=1, prepared=None,
@@ -39,6 +59,7 @@ def install_register_stub(monkeypatch, calls, est_factory):
         })
         return StubResult(est_factory(seed))
 
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "register", stub)
 
 
@@ -203,6 +224,20 @@ def test_objective_charges_initialization_error_on_overlap_failure(
     assert q == pytest.approx(9.0, abs=1e-9)
 
 
+def test_objective_charges_initialization_error_on_empty_draws(monkeypatch):
+    pair = tiny_pair(4, (0.0, 0.0, 3.0))
+
+    def stub(*args, **kwargs):
+        raise optimizer.EmptyDrawError("level 4: iteration 0: 101 draws in a row")
+
+    monkeypatch.setattr(optimizer, "register", stub)
+    q = training.objective_Q(
+        level=4, beta=0.5, pairs=[pair], u_trials=2, frozen_betas={},
+        opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=0,
+    )
+    assert q == pytest.approx(9.0, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # PSO
 # ---------------------------------------------------------------------------
@@ -223,7 +258,7 @@ def test_pso_evaluation_budget_is_exact():
     count = [0]
 
     def f(b):
-        count[0] += 1
+        count[0] += len(b)
         return b * b
 
     cfg = PsoConfig(particles=7, iterations=9, seed=2)
@@ -250,10 +285,23 @@ def test_pso_is_seed_deterministic():
 
 def test_pso_handles_constant_objective():
     best_x, best_val, history = training.pso_minimize(
-        lambda b: 1.0, PsoConfig(particles=4, iterations=5, seed=6)
+        lambda b: np.ones_like(b), PsoConfig(particles=4, iterations=5, seed=6)
     )
     assert best_val == 1.0
     assert 0.0 <= best_x <= 1.0
+
+
+def test_pso_scores_each_iteration_as_one_batch():
+    batches = []
+
+    def f(b):
+        batches.append(b)
+        return b * b
+
+    training.pso_minimize(f, PsoConfig(particles=3, iterations=4, seed=7))
+    assert [b.shape for b in batches] == [(3,)] * 4
+    with pytest.raises(ValueError, match="shape"):
+        training.pso_minimize(lambda b: 1.0, PsoConfig(particles=3, iterations=1))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +369,7 @@ def test_train_cascade_charges_a_failed_frozen_level_at_finer_levels(monkeypatch
         pair = pairs[0] if fixed is pairs[0].fixed else pairs[1]
         return StubResult(pair.gold)
 
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "register", stub)
     _, report = training.train_cascade(
         pairs, u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=2),
@@ -349,6 +398,7 @@ def test_train_cascade_runs_frozen_levels_once_per_call(pair32, monkeypatch):
         runs.append(fixed_r.dims)
         return real(fixed_r, *args, **kwargs)
 
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "optimize_level", counting)
     settings = dict(
         u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=2),
@@ -363,7 +413,7 @@ def test_train_cascade_runs_frozen_levels_once_per_call(pair32, monkeypatch):
     runs.clear()
     second = training.train_cascade(pairs, **settings)
     assert len(runs) == 8 * 3 + 2 * 2  # nothing is kept between calls
-    assert first == second
+    assert first[0] == second[0] and untimed(first[1]) == untimed(second[1])
 
 
 def test_train_cascade_rejects_empty_pairs():
@@ -393,4 +443,124 @@ def test_train_cascade_is_seed_deterministic(monkeypatch):
             )
         )
     assert results[0][0] == results[1][0]
-    assert results[0][1]["levels"] == results[1][1]["levels"]
+    assert untimed(results[0][1]) == untimed(results[1][1])
+
+
+def test_train_cascade_report_counts_runs_and_failures(monkeypatch):
+    pairs = [tiny_pair(10), tiny_pair(11, (0, 1, 0))]
+    calls = []
+
+    def stub(fixed, moving, **kwargs):
+        calls.append(kwargs["stop_level"])
+        if len(calls) == 2:  # the second level-2 candidate run
+            raise optimizer.InitializationOutsideOverlapError("no overlap")
+        return StubResult(pairs[0].gold if fixed is pairs[0].fixed else pairs[1].gold)
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(optimizer, "register", stub)
+    _, report = training.train_cascade(
+        pairs, u_trials=1, pso_cfg=PsoConfig(particles=2, iterations=2),
+        opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=2, num_levels=2,
+    )
+    # level 2: 2 particles * 2 iterations * 2 pairs candidates, then one
+    # frozen run per pair; level 1: the candidates alone
+    assert [(lv["level"], lv["runs"], lv["failed"]) for lv in report["levels"]] == [
+        (2, 8 + 2, 1), (1, 8, 0)]
+    assert len(calls) == 8 + 2 + 8
+    assert all(lv["elapsed_s"] >= 0.0 for lv in report["levels"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "pool"])
+def test_train_cascade_charges_empty_draws(monkeypatch, cpus):
+    pairs = [tiny_pair(12, (0, 0, 2.0)), tiny_pair(13)]
+
+    def stub(fixed, moving, **kwargs):
+        if fixed is pairs[0].fixed:  # every run of pair 0 draws nothing
+            raise optimizer.EmptyDrawError("level 2: iteration 0: 101 draws in a row")
+        return StubResult(pairs[1].gold)
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(optimizer, "register", stub)
+    _, report = training.train_cascade(
+        pairs, u_trials=1, pso_cfg=PsoConfig(particles=2, iterations=1),
+        opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=3, num_levels=2,
+    )
+    # pair 0 is charged the identity's error, 2 mm at every probe; its frozen
+    # level-2 run fails too, so it is not run at level 1
+    assert [lv["best_q_mm2"] for lv in report["levels"]] == [
+        pytest.approx(4.0 / 2), pytest.approx(4.0 / 2)]
+    assert [(lv["runs"], lv["failed"]) for lv in report["levels"]] == [(4 + 2, 2 + 1), (2, 0)]
+
+
+def test_pool_matches_in_process_bit_for_bit(pair32, monkeypatch, tmp_path):
+    fixed, moving, gold = pair32
+    log = tmp_path / "pids"
+    real = optimizer.register
+
+    def logging_register(*args, **kwargs):  # notes which process made each run
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "register", logging_register)
+    settings = dict(
+        u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=2),
+        opt_cfg=optimizer.OptimizerConfig(max_iters=3), rate=0.01, seed=4,
+        num_levels=3,
+    )
+    out, pids = {}, {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        pairs = [TrainingPair(fixed=fixed, moving=moving, gold=gold)]
+        betas, report = training.train_cascade(pairs, **settings)
+        out[cpus] = betas, untimed(report)
+        pids[cpus] = set(log.read_text().split())
+        log.unlink()
+    me = str(os.getpid())
+    assert pids[1] == {me}
+    assert pids[2] and me not in pids[2] and len(pids[2]) <= 2
+    assert out[1] == out[2]
+    assert [lv["runs"] for lv in out[2][1]] == [8 + 2, 8 + 2, 8]
+
+
+def test_train_cascade_stays_in_process_while_another_thread_runs(monkeypatch):
+    pairs = [tiny_pair(15)]
+    calls = []
+
+    def stub(fixed, moving, **kwargs):
+        calls.append(kwargs["seed"])  # lost if the run is made in a worker
+        return StubResult(pairs[0].gold)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(optimizer, "register", stub)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        training.train_cascade(
+            pairs, u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=1),
+            opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=6, num_levels=2,
+        )
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert len(calls) == 2 * 2 + 2 + 2 * 2
+
+
+def test_worker_error_propagates_and_leaves_no_process(monkeypatch):
+    pairs = [tiny_pair(14)]
+
+    def stub(*args, **kwargs):
+        raise RuntimeError("not an engine error")
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(optimizer, "register", stub)
+    threads = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="not an engine error"):
+        training.train_cascade(
+            pairs, u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=2),
+            opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=5, num_levels=2,
+        )
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads

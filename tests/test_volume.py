@@ -266,6 +266,67 @@ def test_nifti_rejects_singleton_axis_and_bad_values(tmp_path):
         volume.load_volume(path)
 
 
+def with_qform(buf, qoffset, quatern=(0.0, 0.0, 0.0), qfac=1.0, code=1):
+    """NIfTI bytes with a qform: code at 252, quatern_b/c/d at 256, qoffset at 268."""
+    buf = bytearray(buf)
+    struct.pack_into("<h", buf, 252, code)
+    struct.pack_into("<3f", buf, 256, *quatern)
+    struct.pack_into("<3f", buf, 268, *qoffset)
+    struct.pack_into("<f", buf, 76, qfac)
+    return bytes(buf)
+
+
+def with_sform(buf, srow, code=1):
+    """NIfTI bytes with an sform: code at 254, srow_x/y/z at 280."""
+    buf = bytearray(buf)
+    struct.pack_into("<h", buf, 254, code)
+    struct.pack_into("<12f", buf, 280, *np.ravel(srow))
+    return bytes(buf)
+
+
+SCALE_ONLY_SROW = [[1.5, 0, 0, 4.0], [0, 1.5, 0, -8.0], [0, 0, 1.5, 16.5]]
+
+
+@pytest.mark.parametrize("header, origin", [
+    (lambda b: with_qform(b, (-10.5, 2.0, 30.25)), (-10.5, 2.0, 30.25)),
+    (lambda b: with_sform(b, SCALE_ONLY_SROW), (4.0, -8.0, 16.5)),
+    # the qform wins over an sform
+    (lambda b: with_qform(with_sform(b, SCALE_ONLY_SROW), (1.0, 2.0, 3.0)), (1.0, 2.0, 3.0)),
+], ids=["qform", "sform", "both"])
+def test_nifti_translation_sets_origin(tmp_path, header, origin):
+    path = tmp_path / "moved.nii"
+    path.write_bytes(header(nifti_bytes((2, 2, 2), (1.5, 1.5, 1.5), 16, bytes(32))))
+    v = volume.load_volume(path)
+    np.testing.assert_array_equal(v.origin, origin)
+    np.testing.assert_allclose(v.spacing, 1.5)
+
+
+def test_nifti_without_qform_or_sform_keeps_origin_zero(tmp_path):
+    # offsets and quaternion fields are ignored while both codes are 0
+    buf = with_sform(with_qform(nifti_bytes((2, 2, 2), (1, 1, 1), 16, bytes(32)),
+                                (5.0, 6.0, 7.0), quatern=(0.5, 0, 0), code=0),
+                     [[0, 1, 0, 9.0], [1, 0, 0, 9.0], [0, 0, -1, 9.0]], code=0)
+    path = tmp_path / "plain.nii"
+    path.write_bytes(buf)
+    np.testing.assert_array_equal(volume.load_volume(path).origin, 0.0)
+
+
+@pytest.mark.parametrize("header, match", [
+    (lambda b: with_qform(b, (0, 0, 0), quatern=(0.0, 0.0, 0.7071)), "quatern_d=.* at byte 264"),
+    (lambda b: with_qform(b, (0, 0, 0), quatern=(0.1, 0.0, 0.0)), "quatern_b=.* at byte 256"),
+    (lambda b: with_qform(b, (0, 0, 0), qfac=-1.0), "qfac pixdim.0.=-1.0 at byte 76"),
+    (lambda b: with_sform(b, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]), "srow_x .* at byte 280"),
+    (lambda b: with_sform(b, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0]]), "srow_y .* at byte 296"),
+    (lambda b: with_qform(b, (float("nan"), 0, 0)), "non-finite NIfTI origin.*byte 268"),
+], ids=["qform-rotation-d", "qform-rotation-b", "qform-flip", "sform-rotation",
+        "sform-flip", "qform-nan-offset"])
+def test_nifti_rotation_or_flip_is_format_error(tmp_path, header, match):
+    path = tmp_path / "rotated.nii"
+    path.write_bytes(header(nifti_bytes((2, 2, 2), (1, 1, 1), 16, bytes(32))))
+    with pytest.raises(VolumeFormatError, match=match):
+        volume.load_volume(path)
+
+
 def _valid_volume_file(kind):
     data = np.arange(27, dtype="<f4").reshape((3, 3, 3), order="F")
     if kind == "nifti":
