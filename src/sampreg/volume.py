@@ -273,13 +273,12 @@ def _load_nifti(buf: bytes) -> Volume:
 
 
 def _nifti_origin(buf: bytes, qfac: float) -> np.ndarray:
-    """Position of voxel 0 from a qform or sform that only translates.
+    """Position of voxel 0 from a qform that only translates.
 
     A qform (qform_code > 0) with quatern_b/c/d all 0 and qfac >= 0 puts it
-    at qoffset_x/y/z.  Without one, an sform (sform_code > 0) whose srow
-    rows scale their own axis by a positive factor puts it at the srow
-    translation column.  Any rotation or flip is rejected, since a Volume
-    has none; with both codes 0 the origin is 0.
+    at qoffset_x/y/z; otherwise the origin is 0.  An sform (sform_code > 0)
+    is only checked: its srow rows must scale their own axis by a positive
+    factor.  Any rotation or flip is rejected, since a Volume has none.
     """
     qform_code, sform_code = struct.unpack_from("<2h", buf, 252)
     origin = np.zeros(3)
@@ -291,7 +290,6 @@ def _nifti_origin(buf: bytes, qfac: float) -> np.ndarray:
                     f"NIfTI srow_{axis} {srow[k].tolist()} at byte {280 + 16 * k} "
                     "rotates or flips the grid; only translations are supported"
                 )
-        origin = srow[:, 3]
     if qform_code > 0:
         for name, offset in (("quatern_b", 256), ("quatern_c", 260), ("quatern_d", 264)):
             value = struct.unpack_from("<f", buf, offset)[0]
@@ -306,11 +304,10 @@ def _nifti_origin(buf: bytes, qfac: float) -> np.ndarray:
                 "only translations are supported"
             )
         origin = np.array(struct.unpack_from("<3f", buf, 268), dtype=np.float64)
-    if not np.all(np.isfinite(origin)):
-        raise VolumeFormatError(
-            f"non-finite NIfTI origin {origin.tolist()} "
-            f"({'qoffset at byte 268' if qform_code > 0 else 'srow at byte 280'})"
-        )
+        if not np.all(np.isfinite(origin)):
+            raise VolumeFormatError(
+                f"non-finite NIfTI origin {origin.tolist()} (qoffset at byte 268)"
+            )
     return origin
 
 

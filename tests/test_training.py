@@ -43,8 +43,10 @@ def use_cpus(monkeypatch, n):
 
 
 def untimed(report):
-    """A training report's levels without their wall times."""
-    return [{k: v for k, v in lv.items() if k != "elapsed_s"} for lv in report["levels"]]
+    """A training report with every key but its levels' wall times."""
+    return {**report, "levels": [
+        {k: v for k, v in lv.items() if k != "elapsed_s"} for lv in report["levels"]
+    ]}
 
 
 def install_register_stub(monkeypatch, calls, est_factory):
@@ -520,7 +522,7 @@ def test_pool_matches_in_process_bit_for_bit(pair32, monkeypatch, tmp_path):
     assert pids[1] == {me}
     assert pids[2] and me not in pids[2] and len(pids[2]) <= 2
     assert out[1] == out[2]
-    assert [lv["runs"] for lv in out[2][1]] == [8 + 2, 8 + 2, 8]
+    assert [lv["runs"] for lv in out[2][1]["levels"]] == [8 + 2, 8 + 2, 8]
 
 
 def test_train_cascade_stays_in_process_while_another_thread_runs(monkeypatch):
