@@ -29,7 +29,7 @@ from sampreg.rng import derive_seed, make_rng
 from sampreg.sampler import SamplingDistribution
 from sampreg.training import TrainingPair
 from sampreg.transform import RigidParams
-from sampreg.volume import Volume, gradient_magnitude, save_volume, trilinear_many
+from sampreg.volume import Volume, save_volume, trilinear_many
 
 FAILURE_THRESHOLD_MM = 10.0
 # Sweep default rates, as fractions of the full-resolution voxel count.
@@ -355,30 +355,3 @@ def export_mask(v: Volume, dist: SamplingDistribution, seed: int, path) -> None:
         path,
     )
 
-
-def mask_distribution(
-    v: Volume,
-    kind: str,
-    rate: float,
-    beta: float | None = None,
-    level: int = 1,
-) -> SamplingDistribution:
-    """Distribution over a single volume's own grid, for mask export.
-
-    Gradient-driven kinds use the volume's own gradient magnitude (there
-    is no second image in this context).
-    """
-    if kind not in sampler.KINDS:
-        raise ValueError(f"unknown sampler kind {kind!r}, expected {sampler.KINDS}")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    m = max(1.0, round(rate * v.num_voxels))
-    urs = sampler.build_urs(v.num_voxels, m, level=level)
-    if kind == "urs":
-        return urs
-    gms = sampler.build_gms(gradient_magnitude(v), m, level=level)
-    if kind == "gms":
-        return gms
-    if beta is None:
-        raise ValueError("mixed mask needs a mixing weight")
-    return sampler.build_mixed(urs, gms, beta)

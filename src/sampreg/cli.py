@@ -25,7 +25,7 @@ import numpy as np
 from sampreg import bench, optimizer, sampler, training, transform
 from sampreg.optimizer import OptimizerConfig
 from sampreg.training import PsoConfig, TrainingPair
-from sampreg.volume import Volume, load_volume, resample_isotropic, save_volume
+from sampreg.volume import Volume, gradient_magnitude, load_volume, resample_isotropic, save_volume
 
 
 class UsageError(Exception):
@@ -98,10 +98,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--rate: must be in (0, 1], got {cfg.rate}")
     if cfg.num_levels < 1:
         raise UsageError("--levels: must be at least 1")
-    if opt.get("num_bins", OptimizerConfig.num_bins) < 8:
-        raise UsageError("--bins: must be at least 8")
-    if opt.get("kernel_radius", OptimizerConfig.kernel_radius) not in (1, 2, 3):
-        raise UsageError("--kernel-radius: must be 1, 2 or 3")
     try:
         return replace(cfg, optimizer=OptimizerConfig(**opt))
     except ValueError as e:
@@ -312,12 +308,15 @@ def cmd_mask(args) -> int:
         if args.level not in betas:
             raise UsageError(f"--level: no mixing weight for level {args.level}")
         beta = betas[args.level]
-    try:
-        dist = bench.mask_distribution(
-            volume, cfg.sampler, cfg.rate, beta=beta, level=args.level
-        )
-    except sampler.DegenerateGradientError as e:
-        print(f"sampreg mask: {e}", file=sys.stderr)
+    # The volume's own gradient drives gms and mixed: there is no second image.
+    gradient = None if cfg.sampler == "urs" else gradient_magnitude(volume)
+    dist, fallback = sampler.build(
+        cfg.sampler, volume.num_voxels, sampler.budget(cfg.rate, volume.num_voxels),
+        gradient, beta, level=args.level,
+    )
+    if fallback:
+        print(f"sampreg mask: {fallback}; a {cfg.sampler} mask has no uniform fallback",
+              file=sys.stderr)
         return 1
     bench.export_mask(volume, dist, cfg.seed, args.out)
     _write_provenance_sidecar(

@@ -91,6 +91,10 @@ class OptimizerConfig:
     rotation_scale: float | None = None
 
     def __post_init__(self):
+        if self.num_bins < 8:
+            raise ValueError(f"num_bins must be at least 8, got {self.num_bins}")
+        if self.kernel_radius not in (1, 2, 3):
+            raise ValueError(f"kernel_radius must be 1, 2 or 3, got {self.kernel_radius}")
         if not 0 < self.min_radius < self.initial_radius:
             raise ValueError("need 0 < min_radius < initial_radius")
         if not 0 < self.shrink < 1 < self.expand:
@@ -361,26 +365,6 @@ def prepare(fixed: Volume, moving: Volume, num_levels: int = 4) -> PreparedPair:
     )
 
 
-def _level_distribution(kind, prepared, r, m, betas, notes):
-    """Sampling distribution for level r, with uniform fallback notes."""
-    n = prepared.fixed_pyramid.level(r).num_voxels
-    urs = sampler.build_urs(n, m, level=r)
-    if kind == "urs":
-        return urs
-    try:
-        gms = sampler.build_gms(prepared.gradient_sources[r - 1], m, level=r)
-    except sampler.DegenerateGradientError:
-        notes.append(f"level {r}: gradient degenerate, uniform fallback")
-        return urs
-    if not np.isclose(gms.expected_count, urs.expected_count, rtol=1e-6):
-        # not enough gradient-positive voxels to meet the budget
-        notes.append(f"level {r}: gradient support below budget, uniform fallback")
-        return urs
-    if kind == "gms":
-        return gms
-    return sampler.build_mixed(urs, gms, betas[r])
-
-
 def register(
     fixed: Volume,
     moving: Volume,
@@ -409,10 +393,6 @@ def register(
     draws from its own stream, so ``num_levels=r, stop_level=r, init=x``
     reproduces level r of any cascade whose level r+1 ended at x.
     """
-    if sampler_kind not in sampler.KINDS:
-        raise ValueError(f"unknown sampler kind {sampler_kind!r}, expected {sampler.KINDS}")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
     if not 1 <= stop_level <= num_levels:
         raise ValueError("need 1 <= stop_level <= num_levels")
     if prepared is not None and num_levels > prepared.num_levels:
@@ -424,15 +404,14 @@ def register(
         if missing:
             raise ValueError(f"mixed sampler needs a beta for levels {missing}")
     cfg = cfg or OptimizerConfig()
+    n_full = (fixed if prepared is None else prepared.fixed_pyramid.level(1)).num_voxels
+    m = sampler.budget(rate, n_full)
 
     start = time.perf_counter()
     if prepared is None:
         prepared = prepare(fixed, moving, num_levels)
     if cfg.rotation_scale is None:
         cfg = replace(cfg, rotation_scale=prepared.rotation_scale)
-
-    n_full = prepared.fixed_pyramid.level(1).num_voxels
-    m = max(1.0, round(rate * n_full))
 
     notes: list = []
     params = RigidParams.identity(prepared.center) if init is None else init
@@ -442,7 +421,12 @@ def register(
     try:
         plan = {}
         for r in range(num_levels, stop_level - 1, -1):
-            dist = _level_distribution(sampler_kind, prepared, r, m, betas, notes)
+            dist, fallback = sampler.build(
+                sampler_kind, prepared.fixed_pyramid.level(r).num_voxels, m,
+                prepared.gradient_sources[r - 1], (betas or {}).get(r), level=r,
+            )
+            if fallback:
+                notes.append(f"level {r}: {fallback}, uniform fallback")
             rng = make_rng(seed, _LEVEL_STREAM, r)
             count = min(cfg.max_iters, max(1, int(_AHEAD_INDICES // dist.expected_count)))
             plan[r] = dist, rng, [pool.submit(sampler.draw, dist, rng) for _ in range(count)]

@@ -110,7 +110,7 @@ def build_mixed(
     """Convex mixture (1-beta)*gms + beta*urs of two matching distributions."""
     if u.kind != "urs" or q.kind != "gms":
         raise ValueError(f"build_mixed needs (urs, gms), got ({u.kind}, {q.kind})")
-    if not 0.0 <= beta <= 1.0:
+    if beta is None or not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     if u.num_voxels != q.num_voxels:
         raise ValueError("mixed components must cover the same voxel count")
@@ -126,6 +126,44 @@ def build_mixed(
         probs=probs, expected_count=float(probs.sum()),
         kind="mixed", level=u.level, beta=float(beta),
     )
+
+
+def budget(rate: float, n: int) -> float:
+    """Expected sample count M for a sampled fraction ``rate`` of n voxels."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    return max(1.0, round(rate * n))
+
+
+def build(
+    kind: str,
+    n: int,
+    m: float,
+    gradient: Volume | None = None,
+    beta: float | None = None,
+    level: int | None = None,
+) -> tuple:
+    """(distribution, fallback) of ``kind`` over n voxels, averaging m picks.
+
+    gms and mixed read ``gradient`` (magnitudes on the same n voxels), mixed
+    also ``beta``.  Where the gradient is zero everywhere or too sparse to
+    carry m picks they fall back to urs, and ``fallback`` names the reason:
+    "gradient degenerate" or "gradient support below budget"; else None.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown sampler kind {kind!r}, expected {KINDS}")
+    urs = build_urs(n, m, level=level)
+    if kind == "urs":
+        return urs, None
+    try:
+        gms = build_gms(gradient, m, level=level)
+    except DegenerateGradientError:
+        return urs, "gradient degenerate"
+    if not np.isclose(gms.expected_count, urs.expected_count, rtol=1e-6):
+        return urs, "gradient support below budget"
+    if kind == "gms":
+        return gms, None
+    return build_mixed(urs, gms, beta), None
 
 
 def draw(d: SamplingDistribution, rng: np.random.Generator) -> np.ndarray:

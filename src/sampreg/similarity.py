@@ -313,7 +313,9 @@ def nmi(h: JointHistogram) -> float:
     histogram; a single occupied cell returns 2.0 by continuity.  A
     histogram with no negative cells gives a value in [1, 2].  Negative
     cells (see the module docstring) lower H_j, so on sparse draws the
-    value can exceed 2.
+    value can exceed 2.  The entropies carry rounding of a few ulp, which
+    the ratio divides by H_j: when nearly all the mass sits in one cell,
+    the value can leave [1, 2] by much more than an ulp.
     """
     if h.total_weight <= 0:
         raise DegenerateHistogramError("histogram has no mass")

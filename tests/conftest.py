@@ -10,9 +10,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sampreg import bench, transform
 from sampreg.volume import Volume
+
+# A failing property test prints the ``@reproduce_failure`` blob that replays
+# its example; examples stay random and each test keeps its own count.
+settings.register_profile("default", print_blob=True)
+settings.load_profile("default")
 
 _CRITERION_LINES = []
 

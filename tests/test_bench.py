@@ -355,25 +355,8 @@ def test_csv_float_cells_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_mask_distribution_kinds(phantom32):
-    for kind in ("urs", "gms"):
-        d = bench.mask_distribution(phantom32, kind, 0.005)
-        assert d.kind == kind
-        assert d.expected_count == pytest.approx(
-            round(0.005 * phantom32.num_voxels), rel=1e-6
-        )
-    m = bench.mask_distribution(phantom32, "mixed", 0.005, beta=0.2)
-    assert m.kind == "mixed" and m.beta == 0.2
-    with pytest.raises(ValueError):
-        bench.mask_distribution(phantom32, "mixed", 0.005)
-    with pytest.raises(ValueError):
-        bench.mask_distribution(phantom32, "fancy", 0.005)
-    with pytest.raises(ValueError):
-        bench.mask_distribution(phantom32, "urs", 0.0)
-
-
 def test_export_mask_writes_binary_volume(tmp_path, phantom32):
-    d = bench.mask_distribution(phantom32, "urs", 0.01)
+    d, _ = sampler.build("urs", phantom32.num_voxels, sampler.budget(0.01, phantom32.num_voxels))
     path = tmp_path / "mask.rvol"
     bench.export_mask(phantom32, d, seed=3, path=path)
     mask = volume.load_volume(path)

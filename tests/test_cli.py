@@ -262,6 +262,17 @@ def test_register_rejects_bad_rate(cli_ws, tmp_path, capsys):
     assert "--rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--bins", "4", "num_bins"),
+    ("--kernel-radius", "4", "kernel_radius"),
+])
+def test_register_rejects_histogram_settings(cli_ws, tmp_path, capsys, flag, value, field):
+    rc = cli.main(register_args(cli_ws, tmp_path / "r.json", "--sampler", "urs", flag, value))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "optimizer settings" in err and field in err
+
+
 def test_register_config_file_then_flags_precedence(cli_ws, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -597,6 +608,24 @@ def test_mask_gms_constant_volume_is_runtime_error(tmp_path, capsys):
     ])
     assert rc == 1
     assert "gradient" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("kind", ["gms", "mixed"])
+def test_mask_refuses_gradient_support_below_budget(tmp_path, capsys, kind):
+    # one bright voxel: 6 gradient-positive voxels against a budget of 1638
+    dot = np.zeros((32, 32, 32))
+    dot[16, 16, 16] = 100.0
+    path = tmp_path / "dot.rvol"
+    save_volume(Volume(dot, spacing=(1.0, 1.0, 1.0)), path)
+    betas = write_betas(tmp_path / "betas.json", {1: 0.5})
+    out = tmp_path / "mask.rvol"
+    rc = cli.main([
+        "mask", "--volume", str(path), "--sampler", kind, "--betas", betas,
+        "--rate", "0.05", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "gradient support below budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

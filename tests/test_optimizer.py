@@ -50,6 +50,13 @@ def test_config_validation():
         OptimizerConfig(max_iters=-1)
 
 
+def test_config_rejects_histogram_settings_the_metric_cannot_use():
+    with pytest.raises(ValueError, match="num_bins"):
+        OptimizerConfig(num_bins=4)
+    with pytest.raises(ValueError, match="kernel_radius"):
+        OptimizerConfig(kernel_radius=4)
+
+
 def test_stationary_needs_a_full_window_of_interior_steps(monkeypatch):
     monkeypatch.setattr(optimizer, "_STALL_WINDOW", 8)
     rng = make_rng(12)
@@ -312,6 +319,27 @@ def test_register_gms_falls_back_on_flat_gradient(phantom32):
     assert all(lv["sampler_kind"] == "urs" for lv in result.levels)
 
 
+def dot_volume(like):
+    """One bright voxel on a flat grid: gradient-positive on a few voxels only."""
+    data = np.zeros(like.dims)
+    data[16, 16, 16] = 100.0
+    return Volume(data=data, spacing=like.spacing, origin=like.origin)
+
+
+@pytest.mark.parametrize("kind", ["gms", "mixed"])
+def test_register_falls_back_where_gradient_support_is_below_budget(phantom32, kind):
+    # rate 0.01 of 32^3 asks for 328 samples; level 1's gradient covers 6 voxels
+    result = optimizer.register(
+        phantom32, dot_volume(phantom32), sampler_kind=kind,
+        betas={r: 0.5 for r in range(1, 5)}, rate=0.01,
+        cfg=OptimizerConfig(max_iters=1), seed=0,
+    )
+    assert "level 1: gradient support below budget, uniform fallback" in result.notes
+    for lv in result.levels:
+        noted = f"level {lv['level']}: gradient support below budget, uniform fallback"
+        assert lv["sampler_kind"] == ("urs" if noted in result.notes else kind)
+
+
 def test_register_raises_outside_overlap(phantom32):
     far = Volume(
         data=phantom32.data,
@@ -345,11 +373,14 @@ def in_line_cascade(fixed, moving, kind, rate, cfg, seed, betas=None):
     """The cascade run level by level through optimize_level, drawing in line."""
     prepared = optimizer.prepare(fixed, moving)
     cfg = replace(cfg, rotation_scale=prepared.rotation_scale)
-    m = max(1.0, round(rate * prepared.fixed_pyramid.level(1).num_voxels))
+    m = sampler.budget(rate, prepared.fixed_pyramid.level(1).num_voxels)
     params = transform.RigidParams.identity(prepared.center)
     levels = []
     for r in range(prepared.num_levels, 0, -1):
-        dist = optimizer._level_distribution(kind, prepared, r, m, betas, [])
+        dist, _ = sampler.build(
+            kind, prepared.fixed_pyramid.level(r).num_voxels, m,
+            prepared.gradient_sources[r - 1], (betas or {}).get(r), level=r,
+        )
         params, trace = optimizer.optimize_level(
             prepared.fixed_pyramid.level(r), prepared.moving_pyramid.level(r),
             dist, params, cfg, make_rng(seed, optimizer._LEVEL_STREAM, r),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sampreg import sampler
 from sampreg.rng import make_rng
 from sampreg.sampler import DegenerateGradientError
-from sampreg.volume import Volume
+from sampreg.volume import Volume, gradient_magnitude
 
 
 def gradient_volume(values):
@@ -267,6 +267,50 @@ def test_draw_frequencies_match_probs():
     freq = hits / n_draws
     se = np.sqrt(d.probs * (1 - d.probs) / n_draws)
     assert np.all(np.abs(freq - d.probs) <= 4 * se + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Budget and factory
+# ---------------------------------------------------------------------------
+
+
+def test_budget_rounds_rate_times_n_and_keeps_one_sample():
+    assert sampler.budget(0.005, 32768) == round(0.005 * 32768)
+    assert sampler.budget(1e-9, 1000) == 1.0
+    assert sampler.budget(1.0, 7) == 7
+    for rate in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="rate"):
+            sampler.budget(rate, 100)
+
+
+def test_build_kinds(phantom32):
+    n = phantom32.num_voxels
+    m = sampler.budget(0.005, n)
+    g = gradient_magnitude(phantom32)
+    for kind in ("urs", "gms"):
+        d, fallback = sampler.build(kind, n, m, g)
+        assert d.kind == kind and fallback is None
+        assert d.expected_count == pytest.approx(round(0.005 * n), rel=1e-6)
+    d, fallback = sampler.build("mixed", n, m, g, beta=0.2)
+    assert d.kind == "mixed" and d.beta == 0.2 and fallback is None
+    with pytest.raises(ValueError):
+        sampler.build("mixed", n, m, g)
+    with pytest.raises(ValueError):
+        sampler.build("fancy", n, m, g)
+    with pytest.raises(ValueError):
+        sampler.build("urs", n, sampler.budget(0.0, n))
+
+
+@pytest.mark.parametrize("kind", ["gms", "mixed"])
+@pytest.mark.parametrize("values, reason", [
+    ([], "gradient degenerate"),
+    ([1.0, 2.0], "gradient support below budget"),
+])
+def test_build_falls_back_to_uniform(kind, values, reason):
+    d, fallback = sampler.build(kind, 8, 3, gradient_volume(values), beta=0.5, level=2)
+    assert fallback == reason
+    assert d.kind == "urs" and d.level == 2
+    np.testing.assert_array_equal(d.probs, 3 / 8)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,14 @@ def test_nmi_single_cell_returns_two_by_continuity():
     assert similarity.nmi(make_hist(bins)) == 2.0
 
 
+# Absolute rounding allowed in H_f + H_m against H_j.  Each entropy sums at
+# most 36 terms p*log(p) of size below 1/e, and a marginal can sum to 1 + eps,
+# so the error is a few eps (the worst seen in 20,000 targeted examples was
+# 4.4 eps).  NMI divides it by H_j, so the range holds to NMI_TOL / H_j: no
+# fixed bound holds once nearly all the mass sits in one cell.
+NMI_TOL = 64 * np.finfo(np.float64).eps
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     size=st.integers(1, 6),
@@ -245,8 +253,11 @@ def test_nmi_lies_in_one_to_two_without_negative_cells(size, cells, product):
             else np.array(cells[: size * size]).reshape(size, size))
     if not bins.any():
         return
-    value = similarity.nmi(make_hist(bins))
-    assert 1.0 - 1e-12 <= value <= 2.0 + 1e-12  # to rounding: a product can read 1 - 1 ulp
+    h = make_hist(bins)
+    value = similarity.nmi(h)
+    hj = similarity._entropies(h)[5]
+    slack = NMI_TOL / hj if hj > 0 else 0.0
+    assert 1.0 - slack <= value <= 2.0 + slack
 
 
 def test_nmi_range_on_random_histograms():
