@@ -9,10 +9,13 @@ Particle swarm minimizes that average on [0, 1].
 Trial seeds derive from (root seed, pair index, trial index) only, never
 from the candidate weight, so every candidate is scored on the same draws
 (common random numbers); a noisy objective would otherwise swamp the
-swarm.  Once a level's weight is frozen, its estimate for each (pair,
-trial) is therefore fixed too: ``train_cascade`` runs the frozen level once
-per (pair, trial) from the estimate carried down from the level above, and
-every candidate at the next finer level starts from that result.  Failed
+swarm.  Within a level the start estimates and the frozen coarser weights
+are fixed as well, so a run depends on its candidate weight alone:
+``train_cascade`` keeps each weight's estimates per (pair, trial) until the
+level ends, and a weight the swarm scores again (the global best at rest,
+or particles clipped to the same bound) is not run again.  The swarm's
+best weight is frozen with the runs that scored it, and their estimates
+are where every candidate at the next finer level starts.  Failed
 registrations keep their large error: fragile extremes are exactly what
 the penalty should push away from, and a (pair, trial) that fails at a
 frozen level is charged the identity's error at every finer level without
@@ -20,14 +23,14 @@ running again.
 
 Once a swarm iteration's positions are fixed its particles are independent,
 so ``pso_minimize`` scores them as one batch (the synchronous parallel PSO
-of Schutte et al., 2004), and ``train_cascade`` sends every batch of level
-runs, and each frozen level's runs, to one process pool that lives for the
-call.  The pool forks one worker per CPU this process may run on, at most
-one per run of a batch; forking lets the workers share the pairs' prepared
-pyramids instead of unpickling a copy each.  Results come back in
-submission order and each run depends only on its (pair, trial, weights,
-start estimate), so outputs are bit for bit those of running in-process,
-which is what happens on one CPU or while other threads run.
+of Schutte et al., 2004), and ``train_cascade`` sends each batch of level
+runs to one process pool that lives for the call.  The pool forks one
+worker per CPU this process may run on, at most one per run of a batch;
+forking lets the workers share the pairs' prepared pyramids instead of
+unpickling a copy each.  Results come back in submission order and each run
+depends only on its (pair, trial, weights, start estimate), so outputs are
+bit for bit those of running in-process, which is what happens on one CPU
+or while other threads run.
 """
 
 from __future__ import annotations
@@ -173,7 +176,8 @@ def _pool_workers(batch: int) -> int:
 
 
 class _LevelRuns:
-    """Runs batches of level runs, in order, and counts them.
+    """Runs batches of level runs, in order, and counts them; ``reused``
+    counts the (candidate, pair, trial) scorings a run already made answered.
 
     With ``workers`` > 1 the runs go to a fork-started process pool, whose
     workers inherit the (already prepared) pairs; otherwise they run here.
@@ -187,6 +191,7 @@ class _LevelRuns:
         )
         self.made = 0
         self.failed = 0
+        self.reused = 0
 
     def __call__(self, runs: list) -> list:
         if self._pool is None:
@@ -202,33 +207,18 @@ class _LevelRuns:
             self._pool.shutdown(cancel_futures=True)
 
 
-def _level_estimates(run_all, level, betas_list, pairs, u_trials, seed, num_levels, starts):
-    """Level-``level`` estimates [candidate][pair][trial], one candidate per
-    betas dict, None where a run failed; every run goes to ``run_all`` as one
-    batch, candidate-major, then pair, then trial.
-
-    Without ``starts`` each run is the cascade num_levels..level from the
-    identity; with them, level ``level`` alone from ``starts[pair][trial]``,
-    and a None start stays None without a run.
-    """
-    slots = [(c, i, trial) for c in range(len(betas_list)) for i in range(len(pairs))
-             for trial in range(u_trials) if starts is None or starts[i][trial] is not None]
-    runs = [
-        (i, derive_seed(seed, _TRIAL_STREAM, i, trial), betas_list[c],
-         num_levels if starts is None else level, level,
-         None if starts is None else starts[i][trial])
-        for c, i, trial in slots
-    ]
-    estimates = [[[None] * u_trials for _ in pairs] for _ in betas_list]
-    for (c, i, trial), est in zip(slots, run_all(runs)):
-        estimates[c][i][trial] = est
-    return estimates
-
-
-def _candidate_q(run_all, level, candidates, pairs, u_trials, frozen_betas, seed,
+def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas, seed,
                  num_levels, starts) -> list:
-    """Mean ETRE of each candidate weight at ``level`` (see ``objective_Q``),
-    from one batch of level runs."""
+    """Mean ETRE of each candidate weight at ``level`` (see ``objective_Q``).
+
+    ``memo`` maps each weight already run at this level, from these frozen
+    weights and starts, to its estimates [pair][trial], None where a run
+    failed or had no start.  Only the weights not in it are run, once each,
+    as one batch to ``run_all``: weight-major in first-seen order, then pair,
+    then trial.  Without ``starts`` each run is the cascade num_levels..level
+    from the identity; with them, level ``level`` alone from
+    ``starts[pair][trial]``, and a None start stays None without a run.
+    """
     for beta in candidates:
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
@@ -238,15 +228,27 @@ def _candidate_q(run_all, level, candidates, pairs, u_trials, frozen_betas, seed
     if missing:
         raise ValueError(f"frozen_betas missing levels {missing}")
     frozen = {r: frozen_betas[r] for r in range(level + 1, num_levels + 1)}
-    betas_list = [{**frozen, level: float(beta)} for beta in candidates]
-    estimates = _level_estimates(
-        run_all, level, betas_list, pairs, u_trials, seed, num_levels, starts)
+    cells = [(i, trial) for i in range(len(pairs)) for trial in range(u_trials)
+             if starts is None or starts[i][trial] is not None]
+    fresh = [beta for beta in dict.fromkeys(map(float, candidates)) if beta not in memo]
+    runs = [
+        (i, derive_seed(seed, _TRIAL_STREAM, i, trial), {**frozen, level: beta},
+         num_levels if starts is None else level, level,
+         None if starts is None else starts[i][trial])
+        for beta in fresh for i, trial in cells
+    ]
+    results = iter(run_all(runs))
+    for beta in fresh:
+        memo[beta] = [[None] * u_trials for _ in pairs]
+        for i, trial in cells:
+            memo[beta][i][trial] = next(results)
+    run_all.reused += (len(candidates) - len(fresh)) * len(cells)
     # a failed run is charged the full initialization error
     return [float(np.mean([
         etre_term(pair.gold, RigidParams.identity(pair.prepared.center) if est is None else est,
                   pair.probe_points)
-        for pair, row in zip(pairs, rows) for est in row
-    ])) for rows in estimates]
+        for pair, row in zip(pairs, memo[float(beta)]) for est in row
+    ])) for beta in candidates]
 
 
 def objective_Q(
@@ -267,11 +269,11 @@ def objective_Q(
     is used at ``level`` itself and the cascade stops there.  Given
     ``starts``, the frozen level-(level+1) estimates per pair and trial
     (None where that run failed), level ``level`` runs alone from them.
-    Runs happen in this process.
+    Runs happen in this process, afresh on every call.
     """
     pairs = list(pairs)
-    return _candidate_q(_LevelRuns(pairs, opt_cfg, rate), level, [beta], pairs, u_trials,
-                        frozen_betas, seed, num_levels, starts)[0]
+    return _candidate_q(_LevelRuns(pairs, opt_cfg, rate), {}, level, [beta], pairs,
+                        u_trials, frozen_betas, seed, num_levels, starts)[0]
 
 
 def pso_minimize(f, cfg: PsoConfig):
@@ -335,12 +337,14 @@ def train_cascade(
     """Learn one mixture weight per level, coarsest first.
 
     Returns (betas, report): betas maps level -> learned weight; the report
-    carries per-level swarm histories and best objective values, the level
-    runs made (``runs``: candidates plus the frozen run), how many of them
-    were charged the identity's error (``failed``) and the level's wall time
-    (``elapsed_s``), plus the settings needed to reproduce the run.  Level
-    runs go to a process pool with one worker per usable CPU, at most one
-    per run of a swarm iteration (see the module notes).
+    carries per-level swarm histories and best objective values, the
+    distinct level runs made (``runs``), how many of them were charged the
+    identity's error (``failed``), how many (candidate, pair, trial)
+    scorings a run already made at that level answered (``reused``) and the
+    level's wall time (``elapsed_s``), plus the settings needed to
+    reproduce the run.  Level runs go to a process pool with one worker per
+    usable CPU, at most one per run of a swarm iteration (see the module
+    notes).
     """
     pairs = list(pairs)
     if not pairs:
@@ -354,19 +358,22 @@ def train_cascade(
     starts = None
     try:
         for r in range(num_levels, 0, -1):
-            start, made, failed = time.perf_counter(), run_all.made, run_all.failed
-            frozen = dict(betas)
+            start = time.perf_counter()
+            made, failed, reused = run_all.made, run_all.failed, run_all.reused
+            frozen, memo = dict(betas), {}
 
-            def objective(positions, _level=r, _frozen=frozen, _starts=starts):
-                return _candidate_q(run_all, _level, positions, pairs, u_trials, _frozen,
-                                    seed, num_levels, _starts)
+            def objective(positions, _level=r, _frozen=frozen, _starts=starts, _memo=memo):
+                return _candidate_q(run_all, _memo, _level, positions, pairs, u_trials,
+                                    _frozen, seed, num_levels, _starts)
 
             level_cfg = replace(pso_cfg, seed=derive_seed(seed, _PSO_STREAM, r))
             best_beta, best_q, history = pso_minimize(objective, level_cfg)
             betas[r] = float(best_beta)
-            if r > 1:  # level r is frozen: run it once, and start level r-1 from it
-                starts = _level_estimates(run_all, r, [dict(betas)], pairs, u_trials, seed,
-                                          num_levels, starts)[0]
+            # level r is frozen: the next finer level starts from the winner's runs
+            if betas[r] not in memo:
+                raise RuntimeError(f"level {r}: the swarm's best weight {betas[r]!r} "
+                                   "was never scored")
+            starts = memo[betas[r]]
             report_levels.append({
                 "level": r,
                 "beta": betas[r],
@@ -374,6 +381,7 @@ def train_cascade(
                 "history": history,
                 "runs": run_all.made - made,
                 "failed": run_all.failed - failed,
+                "reused": run_all.reused - reused,
                 "elapsed_s": time.perf_counter() - start,
             })
     finally:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sampreg import optimizer, similarity, training
-from sampreg.rng import make_rng
+from sampreg.rng import derive_seed, make_rng
 from sampreg.training import PsoConfig, TrainingPair
 from sampreg.transform import RigidParams
 from sampreg.volume import Volume
@@ -314,13 +314,12 @@ def test_pso_scores_each_iteration_as_one_batch():
 def test_train_cascade_budget_and_freezing(monkeypatch):
     pairs = [tiny_pair(5), tiny_pair(6, (0, 1, 0))]
     calls = []
-    per_level = 3 * 2 * 2 * 2  # particles * iterations * pairs * trials
-    frozen_runs = {}
+    level2_runs = {}  # (weight, seed) -> estimate of each level-2 run
 
     def est_factory(seed):
         est = RigidParams(t=(len(calls), 0, 0), center=(6, 6, 6))
-        if per_level < len(calls) <= per_level + 4:
-            frozen_runs[seed] = est
+        if calls[-1]["stop_level"] == 2:
+            level2_runs[calls[-1]["betas"][2], seed] = est
         return est
 
     install_register_stub(monkeypatch, calls, est_factory)
@@ -330,22 +329,22 @@ def test_train_cascade_budget_and_freezing(monkeypatch):
         opt_cfg=optimizer.OptimizerConfig(num_bins=24, kernel_radius=3),
         rate=0.01, seed=9, num_levels=2,
     )
-    # per_level registrations per level, plus one run of the frozen level 2
-    # per (pair, trial)
-    assert len(calls) == per_level * 2 + 2 * 2
+    # 3 particles * 2 iterations positions a level, each scored on 2 pairs *
+    # 2 trials; in the second iteration the global best stays where it was,
+    # so its 4 scorings reuse runs already made
+    assert [(lv["level"], lv["runs"], lv["reused"]) for lv in report["levels"]] == [
+        (2, 5 * 4, 4), (1, 5 * 4, 4)]
+    assert len(calls) == 5 * 4 * 2
     assert all(c["num_bins"] == 24 and c["kernel_radius"] == 3 for c in calls)
     assert set(betas) == {1, 2}
     assert all(0.0 <= b <= 1.0 for b in betas.values())
-    level2, frozen, level1 = (
-        calls[:per_level], calls[per_level:per_level + 4], calls[per_level + 4:])
+    level2, level1 = calls[:20], calls[20:]
     assert all(c["stop_level"] == 2 and c["init"] is None for c in level2)
-    # the frozen level runs once per (pair, trial) with the learned weight
-    assert all(c["stop_level"] == 2 and c["betas"][2] == betas[2] for c in frozen)
-    assert len(frozen_runs) == 4
-    # level-1 candidates run level 1 alone, each from its (pair, trial)'s
-    # frozen level-2 estimate
+    assert len(level2_runs) == 20
+    # level-1 candidates run level 1 alone, each from the winning level-2
+    # candidate's estimate for its (pair, trial)
     assert all(c["num_levels"] == c["stop_level"] == 1 for c in level1)
-    assert all(c["init"] is frozen_runs[c["seed"]] for c in level1)
+    assert all(c["init"] is level2_runs[betas[2], c["seed"]] for c in level1)
 
     assert [lv["level"] for lv in report["levels"]] == [2, 1]
     for lv in report["levels"]:
@@ -359,14 +358,12 @@ def test_train_cascade_budget_and_freezing(monkeypatch):
 def test_train_cascade_charges_a_failed_frozen_level_at_finer_levels(monkeypatch):
     pairs = [tiny_pair(8), tiny_pair(9, (0, 2, 0))]
     calls = []
-    # 2 particles * 2 iterations * 2 pairs * 2 trials level-3 candidates come
-    # first; the frozen level-3 runs follow, pair-major, and the last of them
-    # (pair 1, trial 1) fails
-    failing_call = 2 * 2 * 2 * 2 + 4
+    # every level-3 run of (pair 1, trial 1) fails, the winning candidate's too
+    failed_seed = derive_seed(1, training._TRIAL_STREAM, 1, 1)
 
     def stub(fixed, moving, seed=0, stop_level=1, **kwargs):
         calls.append((seed, stop_level))
-        if len(calls) == failing_call:
+        if stop_level == 3 and seed == failed_seed:
             raise optimizer.InitializationOutsideOverlapError("no overlap")
         pair = pairs[0] if fixed is pairs[0].fixed else pairs[1]
         return StubResult(pair.gold)
@@ -377,20 +374,125 @@ def test_train_cascade_charges_a_failed_frozen_level_at_finer_levels(monkeypatch
         pairs, u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=2),
         opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=1, num_levels=3,
     )
-    failed_seed, failed_level = calls[failing_call - 1]
-    assert failed_level == 3
-    # that (pair, trial) runs at no finer level ...
-    assert [level for seed, level in calls if seed == failed_seed] == [3] * 5
-    # level-2 candidates, frozen level 2 and level-1 candidates, each on the
-    # three (pair, trial)s left
-    assert len(calls) == failing_call + 4 * 3 + 3 + 4 * 3
+    # each level scores 2 particles * 2 iterations positions, 3 of them
+    # distinct (the global best stays put in the second iteration); level 3
+    # runs them on 2 pairs * 2 trials, and that (pair, trial) runs at no
+    # finer level ...
+    assert [level for seed, level in calls if seed == failed_seed] == [3] * 3
+    assert [(lv["level"], lv["runs"], lv["failed"], lv["reused"])
+            for lv in report["levels"]] == [(3, 3 * 4, 3, 4), (2, 3 * 3, 0, 3), (1, 3 * 3, 0, 3)]
+    assert len(calls) == 3 * 4 + 3 * 3 + 3 * 3
     # ... and is charged the identity's error there, 2 mm at every probe;
     # the other three (pair, trial)s land on gold
     q = [lv["best_q_mm2"] for lv in report["levels"]]
-    assert q == [0.0, pytest.approx(4.0 / 4), pytest.approx(4.0 / 4)]
+    assert q == [pytest.approx(4.0 / 4)] * 3
 
 
-def test_train_cascade_runs_frozen_levels_once_per_call(pair32, monkeypatch):
+def test_train_cascade_never_reruns_a_failed_winner(monkeypatch):
+    pairs = [tiny_pair(16, (0, 0, 2.0))]
+    calls, made = [], set()
+
+    def stub(fixed, moving, betas=None, seed=0, stop_level=1, **kwargs):
+        calls.append((stop_level, seed))
+        run = (stop_level, betas[stop_level], seed)
+        first = run not in made
+        made.add(run)
+        # trial 0's level-2 runs fail the first time they are made
+        if stop_level == 2 and seed == calls[0][1] and first:
+            raise optimizer.EmptyDrawError("level 2: iteration 0: 101 draws in a row")
+        return StubResult(pairs[0].gold)
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(optimizer, "register", stub)
+    _, report = training.train_cascade(
+        pairs, u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=1),
+        opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=7, num_levels=2,
+    )
+    # the winning candidate's failed run is not made again, so trial 0
+    # starts no level-1 run and is charged the identity's error, 2 mm at
+    # every probe
+    assert [level for level, seed in calls if seed == calls[0][1]] == [2, 2]
+    assert [(lv["runs"], lv["failed"], lv["reused"]) for lv in report["levels"]] == [
+        (2 * 2, 2, 0), (2, 0, 0)]
+    assert [lv["best_q_mm2"] for lv in report["levels"]] == [pytest.approx(4.0 / 2)] * 2
+
+
+def test_train_cascade_answers_repeated_positions_from_its_runs(monkeypatch):
+    pairs = [tiny_pair(17), tiny_pair(18, (0, 1, 0))]
+    calls, batches = [], []
+
+    def stub(fixed, moving, betas=None, seed=0, stop_level=1, **kwargs):
+        calls.append((stop_level, betas[stop_level], seed))
+        gold = pairs[0].gold if fixed is pairs[0].fixed else pairs[1].gold
+        # the larger the weight, the nearer gold: the swarm piles up on 1
+        return StubResult(RigidParams(t=gold.t + (1.0 - betas[stop_level]), center=gold.center))
+
+    real_pso = training.pso_minimize
+
+    def recording_pso(f, cfg):
+        def recorded(positions):
+            batches.append(positions.tolist())
+            return f(positions)
+        return real_pso(recorded, cfg)
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(optimizer, "register", stub)
+    monkeypatch.setattr(training, "pso_minimize", recording_pso)
+    _, report = training.train_cascade(
+        pairs, u_trials=2, pso_cfg=PsoConfig(particles=3, iterations=3),
+        opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=7, num_levels=2,
+    )
+    # no (level, weight, pair, trial) is run twice ...
+    assert len(set(calls)) == len(calls)
+    # ... though the swarm scores both kinds of repeat at each level: the
+    # global best at rest on its last position, and two particles clipped to
+    # the upper bound in one iteration
+    for level_batches in (batches[:3], batches[3:]):
+        assert any(now[p] == before[p] for before, now in zip(level_batches, level_batches[1:])
+                   for p in range(3))
+        assert any(b.count(1.0) == 2 for b in level_batches)
+    # each repeat is answered from the run already made, for 2 pairs * 2 trials
+    for lv, level_batches in zip(report["levels"], (batches[:3], batches[3:])):
+        positions = [x for b in level_batches for x in b]
+        assert lv["runs"] == len(set(positions)) * 4
+        assert lv["reused"] == (len(positions) - len(set(positions))) * 4
+    assert [(lv["runs"], lv["reused"]) for lv in report["levels"]] == [(7 * 4, 2 * 4), (6 * 4, 3 * 4)]
+    assert sum(lv["runs"] for lv in report["levels"]) == len(calls)
+
+
+def test_train_cascade_best_q_matches_the_uncached_objective(pair32, monkeypatch):
+    fixed, moving, gold = pair32
+    pairs = [TrainingPair(fixed=fixed, moving=moving, gold=gold)]
+    runs = []
+    real = optimizer.register
+
+    def logging_register(*args, betas, seed, stop_level, **kwargs):
+        result = real(*args, betas=betas, seed=seed, stop_level=stop_level, **kwargs)
+        runs.append(((stop_level, betas[stop_level], seed), result.final_params))
+        return result
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(optimizer, "register", logging_register)
+    settings = dict(
+        u_trials=2, opt_cfg=optimizer.OptimizerConfig(max_iters=2), rate=0.01, seed=5,
+        num_levels=3,
+    )
+    betas, report = training.train_cascade(
+        pairs, pso_cfg=PsoConfig(particles=2, iterations=2), **settings)
+    made = dict(runs)
+    assert len(made) == len(runs)  # no level run is made twice
+    trial_seeds = [seed for (_, _, seed), _ in runs[:2]]  # the first candidate's trials
+    monkeypatch.setattr(optimizer, "register", real)
+    starts = None
+    for lv in report["levels"]:
+        r = lv["level"]
+        frozen = {k: betas[k] for k in range(r + 1, 4)}
+        assert lv["best_q_mm2"] == training.objective_Q(
+            r, betas[r], pairs, frozen_betas=frozen, starts=starts, **settings)
+        starts = [[made[r, betas[r], s] for s in trial_seeds]]
+
+
+def test_train_cascade_makes_each_level_run_once_per_call(pair32, monkeypatch):
     fixed, moving, gold = pair32
     pairs = [TrainingPair(fixed=fixed, moving=moving, gold=gold)]
     runs = []
@@ -409,12 +511,13 @@ def test_train_cascade_runs_frozen_levels_once_per_call(pair32, monkeypatch):
     )
     first = training.train_cascade(pairs, **settings)
     dims = {r: pairs[0].prepared.fixed_pyramid.level(r).dims for r in (1, 2, 3)}
-    # each trained level runs particles * iterations * trials times; once
-    # frozen, a coarser level runs once per trial for the rest of the call
-    assert [runs.count(dims[r]) for r in (3, 2, 1)] == [8 + 2, 8 + 2, 8]
+    # each level runs its distinct positions once per trial: 2 particles * 2
+    # iterations, less the global best at rest in the second; a frozen level
+    # runs no more, and finer levels start from its winner's runs
+    assert [runs.count(dims[r]) for r in (3, 2, 1)] == [3 * 2, 3 * 2, 3 * 2]
     runs.clear()
     second = training.train_cascade(pairs, **settings)
-    assert len(runs) == 8 * 3 + 2 * 2  # nothing is kept between calls
+    assert len(runs) == 3 * 2 * 3  # nothing is kept between calls
     assert first[0] == second[0] and untimed(first[1]) == untimed(second[1])
 
 
@@ -464,11 +567,12 @@ def test_train_cascade_report_counts_runs_and_failures(monkeypatch):
         pairs, u_trials=1, pso_cfg=PsoConfig(particles=2, iterations=2),
         opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=2, num_levels=2,
     )
-    # level 2: 2 particles * 2 iterations * 2 pairs candidates, then one
-    # frozen run per pair; level 1: the candidates alone
-    assert [(lv["level"], lv["runs"], lv["failed"]) for lv in report["levels"]] == [
-        (2, 8 + 2, 1), (1, 8, 0)]
-    assert len(calls) == 8 + 2 + 8
+    # each level: 2 particles * 2 iterations positions on 2 pairs, the
+    # global best at rest in the second iteration answered by its runs from
+    # the first; the frozen level 2 is not run again
+    assert [(lv["level"], lv["runs"], lv["failed"], lv["reused"])
+            for lv in report["levels"]] == [(2, 3 * 2, 1, 2), (1, 3 * 2, 0, 2)]
+    assert len(calls) == 3 * 2 + 3 * 2
     assert all(lv["elapsed_s"] >= 0.0 for lv in report["levels"])
 
 
@@ -487,11 +591,12 @@ def test_train_cascade_charges_empty_draws(monkeypatch, cpus):
         pairs, u_trials=1, pso_cfg=PsoConfig(particles=2, iterations=1),
         opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=3, num_levels=2,
     )
-    # pair 0 is charged the identity's error, 2 mm at every probe; its frozen
-    # level-2 run fails too, so it is not run at level 1
+    # pair 0 is charged the identity's error, 2 mm at every probe; the
+    # winning candidate's level-2 run of it failed, so it is not run at level 1
     assert [lv["best_q_mm2"] for lv in report["levels"]] == [
         pytest.approx(4.0 / 2), pytest.approx(4.0 / 2)]
-    assert [(lv["runs"], lv["failed"]) for lv in report["levels"]] == [(4 + 2, 2 + 1), (2, 0)]
+    assert [(lv["runs"], lv["failed"], lv["reused"]) for lv in report["levels"]] == [
+        (2 * 2, 2, 0), (2, 0, 0)]
 
 
 def test_pool_matches_in_process_bit_for_bit(pair32, monkeypatch, tmp_path):
@@ -522,7 +627,9 @@ def test_pool_matches_in_process_bit_for_bit(pair32, monkeypatch, tmp_path):
     assert pids[1] == {me}
     assert pids[2] and me not in pids[2] and len(pids[2]) <= 2
     assert out[1] == out[2]
-    assert [lv["runs"] for lv in out[2][1]["levels"]] == [8 + 2, 8 + 2, 8]
+    # 3 distinct positions a level (the global best rests in the second
+    # iteration) * 2 trials
+    assert [(lv["runs"], lv["reused"]) for lv in out[2][1]["levels"]] == [(3 * 2, 2)] * 3
 
 
 def test_train_cascade_stays_in_process_while_another_thread_runs(monkeypatch):
@@ -547,7 +654,7 @@ def test_train_cascade_stays_in_process_while_another_thread_runs(monkeypatch):
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    assert len(calls) == 2 * 2 + 2 + 2 * 2
+    assert len(calls) == 2 * 2 + 2 * 2  # 2 particles * 2 trials a level
 
 
 def test_worker_error_propagates_and_leaves_no_process(monkeypatch):
