@@ -7,8 +7,10 @@ trials to CSV), mask (export one sampling draw as a volume).
 Settings resolve as defaults <- --config JSON file <- explicit flags, and
 the resolved settings plus seed are embedded in every JSON/CSV output (a
 sidecar .provenance.json accompanies binary volume outputs, whose header
-format is fixed).  Exit codes: 0 success, 1 runtime failure, 2 usage or
-validation error naming the offending flag.
+format is fixed).  Exit codes: 0 success, 1 runtime failure (a ValueError
+or OSError from the engine or the file system, reported in one line), 2
+usage or validation error naming the offending flag.  Any other exception
+is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"sampreg {args.command}: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # runtime failure: report, exit 1
+    except (ValueError, OSError) as e:  # engine and file errors: report, exit 1
         print(f"sampreg {args.command}: error: {e}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,13 @@ bit those of drawing in line; the draws a level leaves unused come from a
 generator that is thrown away.  The draw's uniform fill, comparison and
 selection release the GIL, so the finest level's O(N) draws run during
 the coarser levels' similarity passes; the gain needs a second core.
+
+A level's stream depends on the seed and level alone, never on the
+sampling weights, so runs that differ only in their weights (training's
+candidates) can share it: ``level_envelope`` draws the stream once against
+a bound on every distribution ``sampler.build`` makes there, and each
+run's ``register(..., envelopes=...)`` thins those draws with its own
+probabilities, in line and without the background thread.
 """
 
 from __future__ import annotations
@@ -209,9 +216,10 @@ def optimize_level(
     stream, keeping runs seed-deterministic; after ``_EMPTY_DRAWS`` empty
     draws in a row the level raises ``EmptyDrawError``.
 
-    ``drawn`` holds futures of the first draws from ``rng``, made ahead
-    in order (see ``register``).  They are taken one per draw; once they
-    are used up, the level draws from ``rng`` itself.
+    ``drawn`` yields the first draws from ``rng``'s stream, made ahead
+    (see ``register``), and ``rng`` is then where they left the stream.
+    They are taken one per draw; once they are used up, the level draws
+    from ``rng`` itself.
     """
     if cfg.rotation_scale is None:
         raise ValueError("rotation_scale must be resolved before optimize_level")
@@ -228,8 +236,8 @@ def optimize_level(
     ahead = iter(drawn)
 
     def next_draw():
-        future = next(ahead, None)
-        return sampler.draw(dist, rng) if future is None else future.result()
+        idx = next(ahead, None)
+        return sampler.draw(dist, rng) if idx is None else idx
 
     for iteration in range(cfg.max_iters):
         idx = next_draw()
@@ -365,6 +373,54 @@ def prepare(fixed: Volume, moving: Volume, num_levels: int = 4) -> PreparedPair:
     )
 
 
+@dataclass(frozen=True)
+class LevelEnvelope:
+    """The first draws of one level's stream against ``sampler.envelope_bound``.
+
+    ``draws`` holds each draw's (indices, uniforms) in stream order and
+    ``rng_state`` the generator's state after them.  A run of that level
+    on that seed and budget, with any sampler kind or weight, thins them
+    (``sampler.thin``) instead of drawing, and draws on from ``rng_state``
+    once they are used up, bit for bit as if it had drawn every one.
+    """
+
+    seed: int
+    level: int
+    budget: float
+    draws: tuple = field(repr=False)
+    rng_state: dict = field(repr=False)
+
+
+def _ahead_count(cfg: OptimizerConfig, expected_count: float) -> int:
+    """Draws made ahead for a level: ``max_iters``, or fewer when they would
+    hold more than ``_AHEAD_INDICES`` expected indices together."""
+    return min(cfg.max_iters, max(1, int(_AHEAD_INDICES // expected_count)))
+
+
+def level_envelope(
+    prepared: PreparedPair,
+    rate: float,
+    seed: int,
+    level: int,
+    cfg: OptimizerConfig | None = None,
+) -> LevelEnvelope:
+    """Envelope draws of level ``level``'s stream for ``seed`` at ``rate``.
+
+    As many draws as ``register`` would queue ahead for a distribution with
+    the envelope's expected count, so one set serves every weight's run.
+    """
+    cfg = cfg or OptimizerConfig()
+    m = sampler.budget(rate, prepared.fixed_pyramid.level(1).num_voxels)
+    bound = sampler.envelope_bound(
+        prepared.fixed_pyramid.level(level).num_voxels, m,
+        prepared.gradient_sources[level - 1],
+    )
+    rng = make_rng(seed, _LEVEL_STREAM, level)
+    draws = tuple(sampler.draw_envelope(bound, rng)
+                  for _ in range(_ahead_count(cfg, float(bound.sum()))))
+    return LevelEnvelope(seed, level, m, draws, rng.bit_generator.state)
+
+
 def register(
     fixed: Volume,
     moving: Volume,
@@ -377,6 +433,7 @@ def register(
     stop_level: int = 1,
     prepared: PreparedPair | None = None,
     init: RigidParams | None = None,
+    envelopes: tuple = (),
 ) -> RegistrationResult:
     """Run the coarse-to-fine cascade and return the audited estimate.
 
@@ -392,6 +449,11 @@ def register(
     a 2.52 mm spacing, not the 4 mm of a fresh 3-level pyramid.  Each level
     draws from its own stream, so ``num_levels=r, stop_level=r, init=x``
     reproduces level r of any cascade whose level r+1 ended at x.
+
+    ``envelopes`` holds ``level_envelope`` draws made for this seed and
+    rate, at most one per level run.  Those levels thin them instead of
+    drawing, with the same outputs; the others queue their draws on a
+    background thread.
     """
     if not 1 <= stop_level <= num_levels:
         raise ValueError("need 1 <= stop_level <= num_levels")
@@ -406,6 +468,15 @@ def register(
     cfg = cfg or OptimizerConfig()
     n_full = (fixed if prepared is None else prepared.fixed_pyramid.level(1)).num_voxels
     m = sampler.budget(rate, n_full)
+    enveloped = {}
+    for env in envelopes:
+        if (env.seed, env.budget) != (seed, m) or env.level in enveloped \
+                or not stop_level <= env.level <= num_levels:
+            raise ValueError(
+                f"envelope of seed {env.seed}, level {env.level}, budget {env.budget} does "
+                f"not fit a run of seed {seed}, levels {num_levels}..{stop_level}, budget {m}"
+            )
+        enveloped[env.level] = env
 
     start = time.perf_counter()
     if prepared is None:
@@ -417,7 +488,7 @@ def register(
     params = RigidParams.identity(prepared.center) if init is None else init
     level_reports = []
     escaped_fractions = []
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sampreg-draw")
+    pool = None
     try:
         plan = {}
         for r in range(num_levels, stop_level - 1, -1):
@@ -428,10 +499,19 @@ def register(
             if fallback:
                 notes.append(f"level {r}: {fallback}, uniform fallback")
             rng = make_rng(seed, _LEVEL_STREAM, r)
-            count = min(cfg.max_iters, max(1, int(_AHEAD_INDICES // dist.expected_count)))
-            plan[r] = dist, rng, [pool.submit(sampler.draw, dist, rng) for _ in range(count)]
+            env = enveloped.get(r)
+            if env is None:
+                pool = pool or ThreadPoolExecutor(max_workers=1, thread_name_prefix="sampreg-draw")
+                queued = [pool.submit(sampler.draw, dist, rng)
+                          for _ in range(_ahead_count(cfg, dist.expected_count))]
+                drawn = (future.result() for future in queued)
+            else:
+                rng.bit_generator.state = env.rng_state
+                queued = []
+                drawn = (sampler.thin(e, dist) for e in env.draws)
+            plan[r] = dist, rng, queued, drawn
         for r in list(plan):
-            dist, rng, drawn = plan.pop(r)  # a finished level's draws are freed
+            dist, rng, queued, drawn = plan.pop(r)  # a finished level's draws are freed
             try:
                 params, trace = optimize_level(
                     prepared.fixed_pyramid.level(r),
@@ -441,7 +521,7 @@ def register(
                 )
             except (InitializationOutsideOverlapError, EmptyDrawError) as e:
                 raise type(e)(f"level {r}: {e}") from e
-            for future in drawn:
+            for future in queued:
                 future.cancel()
             for row in trace["rows"]:
                 escaped_fractions.append(row["escaped"] / max(row["sample_size"], 1))
@@ -456,7 +536,8 @@ def register(
                 "expected_count": dist.expected_count,
             })
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     elapsed = time.perf_counter() - start
 
     return RegistrationResult(

@@ -5,6 +5,14 @@ space.  Three kinds: uniform (every voxel min(M/N, 1)), gradient-magnitude
 proportional, and their convex mixture with weight beta on the uniform side.
 Draws are independent Bernoulli trials per voxel, so the selected count is
 binomial with mean equal to the distribution's expected_count.
+
+Runs that share a generator stream but not a distribution can share one
+draw by thinning (Lewis & Shedler, 1979): ``draw_envelope`` draws against a
+per-voxel bound and keeps each hit's uniform, and ``thin`` keeps the hits
+whose uniform also falls below the distribution's own probability.  That
+is exactly ``draw`` from the same generator state, since u < p implies
+u < bound.  ``envelope_bound`` gives a bound for every distribution
+``build`` makes on one level, whatever its kind or weight.
 """
 
 from __future__ import annotations
@@ -22,6 +30,9 @@ KINDS = ("urs", "gms", "mixed")
 # Uniforms generated at a time by ``draw``: 512 KB of float64, so a draw
 # never holds a float array as long as the level.
 _DRAW_BLOCK = 65536
+
+# Relative margin by which ``envelope_bound`` exceeds max(urs, gms).
+_BOUND_MARGIN = 2.0 ** -40
 
 
 class DegenerateGradientError(ValueError):
@@ -166,24 +177,70 @@ def build(
     return build_mixed(urs, gms, beta), None
 
 
-def draw(d: SamplingDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Sorted voxel indices from one Bernoulli trial per voxel.
+def _bernoulli(probs: np.ndarray, rng: np.random.Generator) -> tuple:
+    """(indices, uniforms) of one Bernoulli trial per voxel at ``probs``.
 
     The uniforms are generated ``_DRAW_BLOCK`` at a time into one buffer.
     A generator's stream carries on across calls, so the indices are those
-    of ``np.flatnonzero(rng.random(n) < d.probs)`` and leave the generator
-    in the same state.
+    of ``np.flatnonzero(rng.random(n) < probs)``, each with the uniform
+    that selected it, and the generator is left in the same state.
     """
-    n = d.num_voxels
+    n = probs.size
     buf = np.empty(min(n, _DRAW_BLOCK))
     picked = [np.empty(0, dtype=np.intp)]
+    kept = [np.empty(0)]
     for lo in range(0, n, _DRAW_BLOCK):
         u = buf[: min(_DRAW_BLOCK, n - lo)]
         rng.random(out=u)
-        hits = np.flatnonzero(u < d.probs[lo : lo + u.size])
+        hits = np.flatnonzero(u < probs[lo : lo + u.size])
+        kept.append(u[hits])
         hits += lo
         picked.append(hits)
-    return np.concatenate(picked)
+    return np.concatenate(picked), np.concatenate(kept)
+
+
+def draw(d: SamplingDistribution, rng: np.random.Generator) -> np.ndarray:
+    """Sorted voxel indices from one Bernoulli trial per voxel.
+
+    The indices are those of ``np.flatnonzero(rng.random(n) < d.probs)``,
+    and the generator is left in the same state.
+    """
+    return _bernoulli(d.probs, rng)[0]
+
+
+def envelope_bound(n: int, m: float, gradient: Volume) -> np.ndarray:
+    """Per-voxel probability at least that of every distribution ``build``
+    makes over these inputs, whatever the kind and mixing weight.
+
+    That is max(urs, gms) raised by ``_BOUND_MARGIN``, which covers the
+    rounding of (1-beta)*q + beta*u for every beta in [0, 1] (at most three
+    roundings of a value no larger than max(q, u)); urs alone where the
+    gradient is zero everywhere, as ``build`` then falls back to it.
+    """
+    probs = build_urs(n, m).probs
+    try:
+        probs = np.maximum(probs, build_gms(gradient, m).probs)
+    except DegenerateGradientError:
+        pass
+    return probs * (1.0 + _BOUND_MARGIN)
+
+
+def draw_envelope(bound: np.ndarray, rng: np.random.Generator) -> tuple:
+    """(indices, uniforms) of one draw at per-voxel probability ``bound``.
+
+    ``thin`` turns it into the draw of any distribution whose probabilities
+    are at most ``bound``: a voxel with u < p also has u < bound.  Both
+    consume the same uniforms, so the generator is left where ``draw``
+    leaves it.
+    """
+    return _bernoulli(np.ascontiguousarray(bound, dtype=np.float64), rng)
+
+
+def thin(envelope: tuple, d: SamplingDistribution) -> np.ndarray:
+    """``draw(d, rng)`` from the envelope ``draw_envelope`` made with the
+    same generator state, bit for bit, given d.probs <= its bound."""
+    idx, u = envelope
+    return idx[u < d.probs[idx]]
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,16 @@ def test_register_corrupt_input_is_runtime_error(cli_ws, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("sampreg register: error:")
 
 
+def test_programming_error_propagates_with_its_traceback(cli_ws, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("register() got an unexpected keyword argument 'seeds'")
+
+    monkeypatch.setattr(optimizer, "register", broken)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        cli.main(register_args(cli_ws, tmp_path / "r.json", "--sampler", "urs"))
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_register_rejects_bad_rate(cli_ws, tmp_path, capsys):
     rc = cli.main(register_args(
         cli_ws, tmp_path / "r.json", "--sampler", "urs", "--rate", "0",

@@ -1,5 +1,7 @@
 """Sampling distribution construction and Bernoulli draw tests."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,87 @@ def test_draw_frequencies_match_probs():
     freq = hits / n_draws
     se = np.sqrt(d.probs * (1 - d.probs) / n_draws)
     assert np.all(np.abs(freq - d.probs) <= 4 * se + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Envelope draws and thinning
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    block=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_thinning_an_envelope_draw_is_the_draw(n, block, seed, data):
+    bound = np.array(data.draw(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)))
+    # p <= bound voxel by voxel, with ties (fraction 1) and zeros among them
+    frac = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=n, max_size=n,
+    )))
+    probs = np.minimum(bound * frac, 1.0)
+    d = sampler.SamplingDistribution(probs=probs, expected_count=probs.sum(), kind="gms")
+    enveloped, direct = make_rng(seed), make_rng(seed)
+    with patch.object(sampler, "_DRAW_BLOCK", block):  # draws span several blocks
+        for _ in range(3):  # later draws check where the stream was left
+            idx, u = sampler.draw_envelope(bound, enveloped)
+            assert np.all(u < bound[idx]) and np.all(np.diff(idx) > 0)
+            got, expected = sampler.thin((idx, u), d), sampler.draw(d, direct)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+    # the state holds small arrays (counter, key, buffer), which repr prints whole
+    assert repr(enveloped.bit_generator.state) == repr(direct.bit_generator.state)
+
+
+# Weights at and next to the ends of [0, 1], where (1-beta)*q + beta*u rounds
+# furthest from its exact value.
+EDGE_BETAS = (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def assert_bound_covers_every_build(n, m, g, bound, betas):
+    assert np.all(sampler.build("urs", n, m)[0].probs <= bound)
+    assert np.all(sampler.build("gms", n, m, g)[0].probs <= bound)
+    for beta in betas:
+        assert np.all(sampler.build("mixed", n, m, g, beta=beta)[0].probs <= bound)
+
+
+# Mixing weights anywhere in [0, 1], and within 1e-9 of either end, where
+# the rounding of 1 - beta is largest against beta itself.
+WEIGHTS = st.one_of(
+    st.floats(0.0, 1.0), st.floats(0.0, 1e-9), st.floats(0.0, 1e-9).map(lambda b: 1.0 - b),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
+    m=st.floats(0.5, 8.0),
+    betas=st.lists(WEIGHTS, min_size=1, max_size=20),
+)
+def test_envelope_bound_covers_mixtures_where_gms_equals_urs(dims, m, betas):
+    # a constant gradient gives every voxel gms == urs == m/n, bit for bit
+    g = Volume(data=np.ones(dims), spacing=(1, 1, 1))
+    n = g.num_voxels
+    np.testing.assert_array_equal(sampler.build_gms(g, m).probs, sampler.build_urs(n, m).probs)
+    assert_bound_covers_every_build(n, m, g, sampler.envelope_bound(n, m, g),
+                                    EDGE_BETAS + tuple(betas))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 100.0)), min_size=8, max_size=8,
+    ),
+    m=st.one_of(st.integers(1, 8), st.floats(0.5, 8.0)),
+    beta=WEIGHTS,
+)
+def test_envelope_bound_covers_every_distribution_build_makes(values, m, beta):
+    # zeros make the degenerate and below-budget urs fallbacks
+    g = gradient_volume(values)
+    assert_bound_covers_every_build(8, m, g, sampler.envelope_bound(8, m, g),
+                                    EDGE_BETAS + (beta,))
 
 
 # ---------------------------------------------------------------------------
