@@ -5,7 +5,8 @@ registration), train (learn per-level mixing weights), sweep (batch
 trials to CSV), mask (export one sampling draw as a volume).
 
 Settings resolve as defaults <- --config JSON file <- explicit flags, and
-the resolved settings plus seed are embedded in every JSON/CSV output (a
+a --config key must name a field of ``RunConfig`` or ``OptimizerConfig``.  The
+resolved settings plus seed are embedded in every JSON/CSV output (a
 sidecar .provenance.json accompanies binary volume outputs, whose header
 format is fixed).  Exit codes: 0 success, 1 runtime failure (a ValueError
 or OSError from the engine or the file system, reported in one line), 2

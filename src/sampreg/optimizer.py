@@ -56,6 +56,10 @@ _STALL_WINDOW = 15
 # Draws an iteration makes before it gives up on an empty subset.
 _EMPTY_DRAWS = 101
 
+# Trust-region update (see ``OptimizerConfig``): acceptance-ratio thresholds, radius factors.
+_ACCEPT_LOW, _ACCEPT_HIGH = 0.25, 0.75
+_SHRINK, _EXPAND = 0.25, 2.0
+
 # Expected indices a level's queued draws may hold together (2 MB of
 # int64), so dense rates on large volumes queue fewer than ``max_iters``.
 _AHEAD_INDICES = 1 << 18
@@ -83,6 +87,8 @@ class OptimizerConfig:
 
     A level stops when the radius falls below ``min_radius``, after
     ``max_iters`` iterations, or once it is stationary (see ``_stationary``).
+    The radius update itself is fixed: ratios below 0.25 shrink it by 4x,
+    ratios above 0.75 on a boundary step double it.
     """
 
     num_bins: int = similarity.DEFAULT_NUM_BINS
@@ -90,10 +96,6 @@ class OptimizerConfig:
     max_iters: int = 50
     initial_radius: float = 1.0
     min_radius: float = 1e-3
-    expand: float = 2.0
-    shrink: float = 0.25
-    accept_low: float = 0.25
-    accept_high: float = 0.75
     damping: float = 1e-8
     rotation_scale: float | None = None
 
@@ -104,10 +106,6 @@ class OptimizerConfig:
             raise ValueError(f"kernel_radius must be 1, 2 or 3, got {self.kernel_radius}")
         if not 0 < self.min_radius < self.initial_radius:
             raise ValueError("need 0 < min_radius < initial_radius")
-        if not 0 < self.shrink < 1 < self.expand:
-            raise ValueError("need 0 < shrink < 1 < expand")
-        if not 0 < self.accept_low < self.accept_high < 1:
-            raise ValueError("need 0 < accept_low < accept_high < 1")
         if self.max_iters < 0 or self.damping < 0:
             raise ValueError("max_iters and damping must be nonnegative")
 
@@ -297,10 +295,10 @@ def optimize_level(
         interior.append(not (accepted and at_boundary))
         if accepted:
             params = trial
-        if rho < cfg.accept_low:
-            radius *= cfg.shrink
-        elif rho > cfg.accept_high and at_boundary:
-            radius *= cfg.expand
+        if rho < _ACCEPT_LOW:
+            radius *= _SHRINK
+        elif rho > _ACCEPT_HIGH and at_boundary:
+            radius *= _EXPAND
         if radius < cfg.min_radius:
             termination = "radius"
             break

@@ -47,7 +47,6 @@ class SamplingDistribution:
     expected_count: float
     kind: str  # one of KINDS
     level: int | None = None
-    beta: float | None = None
 
     def __post_init__(self):
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
@@ -135,7 +134,7 @@ def build_mixed(
     probs = (1.0 - beta) * q.probs + beta * u.probs
     return SamplingDistribution(
         probs=probs, expected_count=float(probs.sum()),
-        kind="mixed", level=u.level, beta=float(beta),
+        kind="mixed", level=u.level,
     )
 
 

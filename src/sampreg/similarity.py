@@ -62,14 +62,6 @@ class JointHistogram:
     escaped: int
     num_bins: int
 
-    @property
-    def marginal_fixed(self) -> np.ndarray:
-        return self.bins.sum(axis=1)
-
-    @property
-    def marginal_moving(self) -> np.ndarray:
-        return self.bins.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class MetricEvaluation:

@@ -4,7 +4,7 @@ The objective for a candidate weight at level r is the empirical target
 registration error: run level r with the candidate weight, compare its
 estimate against the pair's gold transform at a set of probe points, and
 average the squared probe displacement over pairs and Monte-Carlo trials.
-Particle swarm minimizes that average on [0, 1].
+Particle swarm, with fixed coefficients, minimizes that average on [0, 1].
 
 Trial seeds derive from (root seed, pair index, trial index) only, never
 from the candidate weight, so every candidate is scored on the same draws
@@ -66,6 +66,10 @@ from sampreg.volume import Volume
 _PSO_STREAM = 21
 _TRIAL_STREAM = 22
 
+# Swarm inertia, cognitive and social weights, and the velocity clamp.
+_INERTIA, _COGNITIVE, _SOCIAL = 0.7, 1.5, 1.5
+_VELOCITY_CLAMP = 0.5
+
 
 def default_probe_points(v: Volume) -> np.ndarray:
     """The 8 bounding-box corners plus the center of a volume, in mm."""
@@ -77,24 +81,16 @@ def default_probe_points(v: Volume) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainingPair:
-    """One fixed/moving pair with its known-good transform."""
+    """One fixed/moving pair with its known-good transform; its error is
+    measured at ``default_probe_points`` of the fixed volume."""
 
     fixed: Volume
     moving: Volume
     gold: RigidParams
-    probe_points: np.ndarray | None = None
 
-    def __post_init__(self):
-        pts = self.probe_points
-        if pts is None:
-            pts = default_probe_points(self.fixed)
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if pts.size == 0 or pts.shape[1] != 3:
-            raise ValueError("probe_points must be a nonempty (n, 3) array")
-        lo, hi = self.fixed.bounds
-        if np.any(pts < lo - 1e-9) or np.any(pts > hi + 1e-9):
-            raise ValueError("probe points must lie inside the fixed volume bounds")
-        object.__setattr__(self, "probe_points", pts)
+    @cached_property
+    def probe_points(self) -> np.ndarray:
+        return default_probe_points(self.fixed)
 
     @cached_property
     def prepared(self) -> optimizer.PreparedPair:
@@ -103,15 +99,13 @@ class TrainingPair:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Global-best particle swarm settings on the unit interval."""
+    """Global-best particle swarm size and seed on the unit interval.
+
+    ``train_cascade`` seeds each level from its own ``seed`` instead, so
+    there ``seed`` has no effect."""
 
     particles: int = 10
     iterations: int = 20
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    bounds: tuple = (0.0, 1.0)
-    velocity_clamp: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -119,8 +113,6 @@ class PsoConfig:
             raise ValueError("need at least 2 particles")
         if self.iterations < 1:
             raise ValueError("need at least 1 iteration")
-        if not self.bounds[0] < self.bounds[1]:
-            raise ValueError("bounds must satisfy lo < hi")
 
 
 def etre_term(gold: RigidParams, est: RigidParams, pts) -> float:
@@ -324,18 +316,17 @@ def objective_Q(
 
 
 def pso_minimize(f, cfg: PsoConfig):
-    """Global-best PSO on a scalar interval; returns (best_x, best_value, history).
+    """Global-best PSO on [0, 1]; returns (best_x, best_value, history).
 
     ``f`` takes one iteration's positions, an array of ``particles``
     values, and returns one objective value per position; personal and
     global bests are then updated in particle order.  Initial positions are
-    uniform over the bounds and count as the first iteration's
-    evaluations, so f is called once per iteration and evaluates exactly
+    uniform on [0, 1] and count as the first iteration's evaluations, so f
+    is called once per iteration and evaluates exactly
     particles*iterations positions.  Deterministic under cfg.seed.
     """
-    lo, hi = cfg.bounds
     rng = make_rng(cfg.seed, _PSO_STREAM)
-    x = lo + (hi - lo) * rng.random(cfg.particles)
+    x = rng.random(cfg.particles)
     v = np.zeros(cfg.particles)
     pbest_x = x.copy()
     pbest_val = np.full(cfg.particles, np.inf)
@@ -347,11 +338,11 @@ def pso_minimize(f, cfg: PsoConfig):
         if iteration > 0:
             r1 = rng.random(cfg.particles)
             r2 = rng.random(cfg.particles)
-            v = (cfg.inertia * v
-                 + cfg.cognitive * r1 * (pbest_x - x)
-                 + cfg.social * r2 * (gbest_x - x))
-            v = np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp)
-            x = np.clip(x + v, lo, hi)
+            v = (_INERTIA * v
+                 + _COGNITIVE * r1 * (pbest_x - x)
+                 + _SOCIAL * r2 * (gbest_x - x))
+            v = np.clip(v, -_VELOCITY_CLAMP, _VELOCITY_CLAMP)
+            x = np.clip(x + v, 0.0, 1.0)
         values = np.asarray(f(x.copy()), dtype=np.float64)
         if values.shape != x.shape:
             raise ValueError(f"objective returned shape {values.shape} "
@@ -393,6 +384,9 @@ def train_cascade(
     the settings needed to reproduce the run.  Level runs and envelopes go
     to a process pool with one worker per usable CPU, at most one per run
     of a swarm iteration (see the module notes).
+
+    Each level's swarm is seeded from ``seed`` and the level, so
+    ``pso_cfg.seed`` has no effect here.
     """
     pairs = list(pairs)
     if not pairs:
@@ -457,9 +451,9 @@ def train_cascade(
         "pso": {
             "particles": pso_cfg.particles,
             "iterations": pso_cfg.iterations,
-            "inertia": pso_cfg.inertia,
-            "cognitive": pso_cfg.cognitive,
-            "social": pso_cfg.social,
+            "inertia": _INERTIA,
+            "cognitive": _COGNITIVE,
+            "social": _SOCIAL,
         },
         "rng_algorithm": RNG_ALGORITHM,
     }

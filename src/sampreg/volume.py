@@ -37,7 +37,7 @@ class Volume:
     data: np.ndarray
     spacing: np.ndarray = field(default_factory=lambda: np.ones(3))
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    intensity_range: tuple = None
+    intensity_range: tuple = field(init=False)  # (min, max) voxel, from data
 
     def __post_init__(self):
         data = np.asfortranarray(self.data, dtype=np.float32)

@@ -303,12 +303,16 @@ def test_register_config_file_then_flags_precedence(cli_ws, tmp_path):
 
 def test_register_rejects_unknown_config_key(cli_ws, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bogus": 1}))
-    rc = cli.main(register_args(
-        cli_ws, tmp_path / "r.json", "--sampler", "urs", "--config", str(cfg_path),
-    ))
-    assert rc == 2
-    assert "bogus" in capsys.readouterr().err
+    # the trust-region update factors are fixed in the optimizer, not settings
+    for key, value in (("bogus", 1), ("expand", 2.0), ("shrink", 0.25),
+                       ("accept_low", 0.25), ("accept_high", 0.75)):
+        cfg_path.write_text(json.dumps({key: value}))
+        rc = cli.main(register_args(
+            cli_ws, tmp_path / "r.json", "--sampler", "urs", "--config", str(cfg_path),
+        ))
+        assert rc == 2, key
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command, loaded, key", [

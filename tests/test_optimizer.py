@@ -32,20 +32,15 @@ def test_config_defaults():
     assert cfg.max_iters == 50
     assert cfg.initial_radius == 1.0
     assert cfg.min_radius == 1e-3
-    assert cfg.expand == 2.0
-    assert cfg.shrink == 0.25
-    assert (cfg.accept_low, cfg.accept_high) == (0.25, 0.75)
     assert cfg.damping == 1e-8
     assert cfg.rotation_scale is None
+    assert (optimizer._EXPAND, optimizer._SHRINK) == (2.0, 0.25)
+    assert (optimizer._ACCEPT_LOW, optimizer._ACCEPT_HIGH) == (0.25, 0.75)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(min_radius=2.0, initial_radius=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(shrink=1.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(accept_low=0.8, accept_high=0.2)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=-1)
 

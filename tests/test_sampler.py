@@ -1,11 +1,13 @@
 """Sampling distribution construction and Bernoulli draw tests."""
 
+import functools
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sampreg import sampler
 from sampreg.rng import make_rng
@@ -162,7 +164,6 @@ def test_mixed_hand_value():
     )
     d = sampler.build_mixed(u, q, 0.2)
     np.testing.assert_allclose(d.probs, [0.82, 0.18], atol=1e-12)
-    assert d.beta == 0.2
 
 
 def test_mixed_is_linear_in_beta():
@@ -256,6 +257,107 @@ def test_draw_cardinality_concentrates():
     assert abs(np.mean(counts) - 100) <= 3 * np.sqrt(100)
 
 
+# ---------------------------------------------------------------------------
+# Draw frequencies
+# ---------------------------------------------------------------------------
+
+# Draws a frequency check makes of each distribution, the family-wise
+# false-alarm rate of each of its two tests, and its chi-square cells.
+FREQ_DRAWS = 10_000
+FREQ_FWER = 1e-3
+FREQ_CELLS = 20
+
+
+def draw_hits(d: sampler.SamplingDistribution, n_draws: int, rng) -> np.ndarray:
+    """How often each voxel was selected in ``n_draws`` draws of d from rng."""
+    hits = np.zeros(d.num_voxels)
+    for _ in range(n_draws):
+        hits[sampler.draw(d, rng)] += 1
+    return hits
+
+
+def frequency_failures(family, n_draws: int) -> list:
+    """Where hit counts disagree with their probabilities; empty when none do.
+
+    ``family`` holds (probs, hits) of each distribution, its hits counted
+    over ``n_draws`` independent draws.  Two tests, each with family-wise
+    false-alarm rate at most ``FREQ_FWER``:
+
+    * every voxel's count against the exact two-sided binomial tail
+      (twice the smaller tail), Bonferroni-corrected over all the family's
+      voxels: catches one voxel drawn too often or too rarely;
+    * per distribution, a chi-square over ``FREQ_CELLS`` cells of voxels
+      grouped by probability quantile, at ``FREQ_FWER`` / len(family):
+      catches a bias shared by many voxels, each too small to flag alone.
+      Voxels are pooled because many expect fewer than 5 hits; a cell's
+      count is a sum of independent binomials, so its variance is
+      n * sum p(1-p).
+    """
+    failures = []
+    voxel_alpha = FREQ_FWER / sum(probs.size for probs, _ in family)
+    for j, (probs, hits) in enumerate(family):
+        tail = np.minimum(stats.binom.cdf(hits, n_draws, probs),
+                          stats.binom.sf(hits - 1, n_draws, probs))
+        flagged = np.flatnonzero(2 * tail < voxel_alpha)
+        if flagged.size:
+            failures.append(f"distribution {j}: voxels {flagged.tolist()} outside their "
+                            f"binomial tails at {voxel_alpha:.2g}")
+        groups = np.array_split(np.argsort(probs, kind="stable"), FREQ_CELLS)
+        deviation = np.array([hits[g].sum() - n_draws * probs[g].sum() for g in groups])
+        variance = np.array([n_draws * np.sum(probs[g] * (1 - probs[g])) for g in groups])
+        live = variance > 0  # a cell of certain voxels is left to the per-voxel test
+        statistic = float(np.sum(deviation[live] ** 2 / variance[live]))
+        p_value = stats.chi2.sf(statistic, live.sum())
+        if p_value < FREQ_FWER / len(family):
+            failures.append(f"distribution {j}: chi-square {statistic:.1f} on {live.sum()} "
+                            f"quantile cells, p = {p_value:.2g}")
+    return failures
+
+
+def frequency_grid() -> tuple:
+    """(urs, gms) at a 2% rate on the 12-cube grid acceptance test 2 draws on."""
+    small = Volume(data=make_rng(9).random((12, 12, 12)) * 40, spacing=(1, 1, 1))
+    n, m = small.num_voxels, 0.02 * small.num_voxels
+    return sampler.build_urs(n, m), sampler.build_gms(gradient_magnitude(small), m)
+
+
+def _scaled(d: sampler.SamplingDistribution, factor) -> sampler.SamplingDistribution:
+    probs = np.minimum(d.probs * factor, 1.0)
+    return sampler.SamplingDistribution(probs, float(probs.sum()), d.kind)
+
+
+def _top_voxel(d: sampler.SamplingDistribution, factor: float) -> sampler.SamplingDistribution:
+    scale = np.ones(d.num_voxels)
+    scale[np.argmax(d.probs)] = factor
+    return _scaled(d, scale)
+
+
+@functools.cache
+def _sound_family() -> tuple:
+    """Acceptance test 2's family (urs, gms, mixed at beta 0.3) and its hits."""
+    us, qs = frequency_grid()
+    family = (us, qs, sampler.build_mixed(us, qs, 0.3))
+    rng = make_rng(10)
+    return family, tuple(draw_hits(d, FREQ_DRAWS, rng) for d in family)
+
+
+@pytest.mark.parametrize("defect", ["top gms voxel x0.5", "top gms voxel x1.5",
+                                    "every gms p x1.05", "beta 0.30 -> 0.35"])
+def test_frequency_check_flags_each_defect(defect):
+    """The family with one member drawn from a defective distribution is flagged."""
+    family, hits = _sound_family()
+    us, qs, _ = family
+    member, defective = {
+        "top gms voxel x0.5": (1, _top_voxel(qs, 0.5)),
+        "top gms voxel x1.5": (1, _top_voxel(qs, 1.5)),
+        "every gms p x1.05": (1, _scaled(qs, 1.05)),
+        "beta 0.30 -> 0.35": (2, sampler.build_mixed(us, qs, 0.35)),
+    }[defect]
+    hits = list(hits)
+    hits[member] = draw_hits(defective, FREQ_DRAWS, make_rng(11, member))
+    assert frequency_failures([(d.probs, h) for d, h in zip(family, hits)], FREQ_DRAWS)
+
+
 def test_draw_frequencies_match_probs():
     rng = make_rng(34)
     g = Volume(data=rng.random((4, 4, 4)) + 0.02, spacing=(1, 1, 1))
@@ -263,12 +365,9 @@ def test_draw_frequencies_match_probs():
     u = sampler.build_urs(g.num_voxels, 12, level=1)
     d = sampler.build_mixed(u, q, 0.3)
     hits = np.zeros(d.num_voxels)
-    n_draws = 1000
-    for k in range(n_draws):
+    for k in range(FREQ_DRAWS):
         hits[sampler.draw(d, make_rng(70, k))] += 1
-    freq = hits / n_draws
-    se = np.sqrt(d.probs * (1 - d.probs) / n_draws)
-    assert np.all(np.abs(freq - d.probs) <= 4 * se + 1e-12)
+    assert frequency_failures([(d.probs, hits)], FREQ_DRAWS) == []
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +474,7 @@ def test_build_kinds(phantom32):
         assert d.kind == kind and fallback is None
         assert d.expected_count == pytest.approx(round(0.005 * n), rel=1e-6)
     d, fallback = sampler.build("mixed", n, m, g, beta=0.2)
-    assert d.kind == "mixed" and d.beta == 0.2 and fallback is None
+    assert d.kind == "mixed" and fallback is None
     with pytest.raises(ValueError):
         sampler.build("mixed", n, m, g)
     with pytest.raises(ValueError):

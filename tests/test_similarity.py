@@ -130,10 +130,10 @@ def test_mass_conservation_random_configurations():
         h = similarity.accumulate(fixed, moving, params, idx, num_bins=16)
         assert h.total_weight + h.escaped == pytest.approx(idx.size, abs=1e-9)
         np.testing.assert_allclose(
-            h.marginal_fixed.sum(), h.total_weight, rtol=1e-9
+            h.bins.sum(axis=1).sum(), h.total_weight, rtol=1e-9
         )
         np.testing.assert_allclose(
-            h.marginal_moving.sum(), h.total_weight, rtol=1e-9
+            h.bins.sum(axis=0).sum(), h.total_weight, rtol=1e-9
         )
 
 

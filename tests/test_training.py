@@ -90,16 +90,7 @@ def test_default_probe_points_are_corners_plus_center():
 def test_training_pair_defaults_and_validation():
     pair = tiny_pair()
     assert pair.probe_points.shape == (9, 3)
-    with pytest.raises(ValueError):
-        TrainingPair(
-            fixed=pair.fixed, moving=pair.moving, gold=pair.gold,
-            probe_points=np.zeros((3, 2)),
-        )
-    with pytest.raises(ValueError):
-        TrainingPair(
-            fixed=pair.fixed, moving=pair.moving, gold=pair.gold,
-            probe_points=np.array([[500.0, 0.0, 0.0]]),
-        )
+    np.testing.assert_array_equal(pair.probe_points, training.default_probe_points(pair.fixed))
 
 
 def test_pso_config_validation():
@@ -107,12 +98,10 @@ def test_pso_config_validation():
         PsoConfig(particles=1)
     with pytest.raises(ValueError):
         PsoConfig(iterations=0)
-    with pytest.raises(ValueError):
-        PsoConfig(bounds=(1.0, 0.0))
     cfg = PsoConfig()
     assert (cfg.particles, cfg.iterations) == (10, 20)
-    assert (cfg.inertia, cfg.cognitive, cfg.social) == (0.7, 1.5, 1.5)
-    assert cfg.bounds == (0.0, 1.0)
+    assert (training._INERTIA, training._COGNITIVE, training._SOCIAL) == (0.7, 1.5, 1.5)
+    assert training._VELOCITY_CLAMP == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,12 @@ def test_intensity_range_and_geometry():
     np.testing.assert_allclose(v.center_mm, [1.5, 1.5, 1.5])
 
 
+def test_intensity_range_is_computed_not_passed():
+    # a range argument would be overwritten by the data's own, so it is refused
+    with pytest.raises(TypeError, match="intensity_range"):
+        Volume(data=np.zeros((4, 4, 4)), intensity_range=(0.0, 100.0))
+
+
 def test_flat_order_is_x_fastest():
     data = np.arange(24, dtype=np.float32).reshape(2, 3, 4, order="F")
     v = Volume(data=data, spacing=(1, 1, 1))
