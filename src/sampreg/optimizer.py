@@ -13,28 +13,16 @@ previous estimate; the coarsest level starts from the caller's estimate
 (zero parameters by default).  The pixel budget M is a fraction of the
 FULL-resolution voxel count and is the same at every level.
 
-No draw depends on the optimizer's state, so ``register`` has one
-background thread draw ahead: when it starts, it queues every level's
-draws, coarse to fine, on a single worker, at most ``max_iters`` a level
-(fewer when they would hold more than ``_AHEAD_INDICES`` indices).  Each
-level still consumes its own stream in order, so the outputs are bit for
-bit those of drawing in line; the draws a level leaves unused come from a
-generator that is thrown away.  The draw's uniform fill, comparison and
-selection release the GIL, so the finest level's O(N) draws run during
-the coarser levels' similarity passes; the gain needs a second core.
-
-A level's stream depends on the seed and level alone, never on the
-sampling weights, so runs that differ only in their weights (training's
-candidates) can share it: ``level_envelope`` draws the stream once against
-a bound on every distribution ``sampler.build`` makes there, and each
-run's ``register(..., envelopes=...)`` thins those draws with its own
-probabilities, in line and without the background thread.
+Each level builds its distribution when it starts and draws in line from
+its own stream, which depends on the seed and level alone.  A draw costs
+O(M) (see ``sampler``), and runs that differ only in their sampling
+weights (training's candidates) draw the same proposals and thin them to
+their own weights.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,10 +47,6 @@ _EMPTY_DRAWS = 101
 # Trust-region update (see ``OptimizerConfig``): acceptance-ratio thresholds, radius factors.
 _ACCEPT_LOW, _ACCEPT_HIGH = 0.25, 0.75
 _SHRINK, _EXPAND = 0.25, 2.0
-
-# Expected indices a level's queued draws may hold together (2 MB of
-# int64), so dense rates on large volumes queue fewer than ``max_iters``.
-_AHEAD_INDICES = 1 << 18
 
 
 class InitializationOutsideOverlapError(ValueError):
@@ -202,7 +186,6 @@ def optimize_level(
     rng: np.random.Generator,
     fixed_range=None,
     moving_range=None,
-    drawn=(),
 ):
     """Maximize sampled NMI from params0; returns (params, trace).
 
@@ -213,11 +196,6 @@ def optimize_level(
     An empty draw (possible at tiny budgets) is redrawn from the same
     stream, keeping runs seed-deterministic; after ``_EMPTY_DRAWS`` empty
     draws in a row the level raises ``EmptyDrawError``.
-
-    ``drawn`` yields the first draws from ``rng``'s stream, made ahead
-    (see ``register``), and ``rng`` is then where they left the stream.
-    They are taken one per draw; once they are used up, the level draws
-    from ``rng`` itself.
     """
     if cfg.rotation_scale is None:
         raise ValueError("rotation_scale must be resolved before optimize_level")
@@ -231,14 +209,8 @@ def optimize_level(
     interior = []
     rows = []
     termination = "budget"
-    ahead = iter(drawn)
-
-    def next_draw():
-        idx = next(ahead, None)
-        return sampler.draw(dist, rng) if idx is None else idx
-
     for iteration in range(cfg.max_iters):
-        idx = next_draw()
+        idx = sampler.draw(dist, rng)
         draws = 1
         while not idx.size:
             if draws == _EMPTY_DRAWS:
@@ -246,7 +218,7 @@ def optimize_level(
                     f"iteration {iteration}: {draws} draws in a row selected no voxel "
                     f"(expected count {dist.expected_count:.3g} a draw)"
                 )
-            idx = next_draw()
+            idx = sampler.draw(dist, rng)
             draws += 1
         try:
             ev = similarity.evaluate(
@@ -308,7 +280,7 @@ def optimize_level(
     return params, {"termination": termination, "rows": rows}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedPair:
     """Pyramids and per-level sampling inputs, reusable across runs.
 
@@ -371,54 +343,6 @@ def prepare(fixed: Volume, moving: Volume, num_levels: int = 4) -> PreparedPair:
     )
 
 
-@dataclass(frozen=True)
-class LevelEnvelope:
-    """The first draws of one level's stream against ``sampler.envelope_bound``.
-
-    ``draws`` holds each draw's (indices, uniforms) in stream order and
-    ``rng_state`` the generator's state after them.  A run of that level
-    on that seed and budget, with any sampler kind or weight, thins them
-    (``sampler.thin``) instead of drawing, and draws on from ``rng_state``
-    once they are used up, bit for bit as if it had drawn every one.
-    """
-
-    seed: int
-    level: int
-    budget: float
-    draws: tuple = field(repr=False)
-    rng_state: dict = field(repr=False)
-
-
-def _ahead_count(cfg: OptimizerConfig, expected_count: float) -> int:
-    """Draws made ahead for a level: ``max_iters``, or fewer when they would
-    hold more than ``_AHEAD_INDICES`` expected indices together."""
-    return min(cfg.max_iters, max(1, int(_AHEAD_INDICES // expected_count)))
-
-
-def level_envelope(
-    prepared: PreparedPair,
-    rate: float,
-    seed: int,
-    level: int,
-    cfg: OptimizerConfig | None = None,
-) -> LevelEnvelope:
-    """Envelope draws of level ``level``'s stream for ``seed`` at ``rate``.
-
-    As many draws as ``register`` would queue ahead for a distribution with
-    the envelope's expected count, so one set serves every weight's run.
-    """
-    cfg = cfg or OptimizerConfig()
-    m = sampler.budget(rate, prepared.fixed_pyramid.level(1).num_voxels)
-    bound = sampler.envelope_bound(
-        prepared.fixed_pyramid.level(level).num_voxels, m,
-        prepared.gradient_sources[level - 1],
-    )
-    rng = make_rng(seed, _LEVEL_STREAM, level)
-    draws = tuple(sampler.draw_envelope(bound, rng)
-                  for _ in range(_ahead_count(cfg, float(bound.sum()))))
-    return LevelEnvelope(seed, level, m, draws, rng.bit_generator.state)
-
-
 def register(
     fixed: Volume,
     moving: Volume,
@@ -431,7 +355,6 @@ def register(
     stop_level: int = 1,
     prepared: PreparedPair | None = None,
     init: RigidParams | None = None,
-    envelopes: tuple = (),
 ) -> RegistrationResult:
     """Run the coarse-to-fine cascade and return the audited estimate.
 
@@ -447,11 +370,6 @@ def register(
     a 2.52 mm spacing, not the 4 mm of a fresh 3-level pyramid.  Each level
     draws from its own stream, so ``num_levels=r, stop_level=r, init=x``
     reproduces level r of any cascade whose level r+1 ended at x.
-
-    ``envelopes`` holds ``level_envelope`` draws made for this seed and
-    rate, at most one per level run.  Those levels thin them instead of
-    drawing, with the same outputs; the others queue their draws on a
-    background thread.
     """
     if not 1 <= stop_level <= num_levels:
         raise ValueError("need 1 <= stop_level <= num_levels")
@@ -466,15 +384,6 @@ def register(
     cfg = cfg or OptimizerConfig()
     n_full = (fixed if prepared is None else prepared.fixed_pyramid.level(1)).num_voxels
     m = sampler.budget(rate, n_full)
-    enveloped = {}
-    for env in envelopes:
-        if (env.seed, env.budget) != (seed, m) or env.level in enveloped \
-                or not stop_level <= env.level <= num_levels:
-            raise ValueError(
-                f"envelope of seed {env.seed}, level {env.level}, budget {env.budget} does "
-                f"not fit a run of seed {seed}, levels {num_levels}..{stop_level}, budget {m}"
-            )
-        enveloped[env.level] = env
 
     start = time.perf_counter()
     if prepared is None:
@@ -486,56 +395,34 @@ def register(
     params = RigidParams.identity(prepared.center) if init is None else init
     level_reports = []
     escaped_fractions = []
-    pool = None
-    try:
-        plan = {}
-        for r in range(num_levels, stop_level - 1, -1):
-            dist, fallback = sampler.build(
-                sampler_kind, prepared.fixed_pyramid.level(r).num_voxels, m,
-                prepared.gradient_sources[r - 1], (betas or {}).get(r), level=r,
+    for r in range(num_levels, stop_level - 1, -1):
+        dist, fallback = sampler.build(
+            sampler_kind, prepared.fixed_pyramid.level(r).num_voxels, m,
+            prepared.gradient_sources[r - 1], (betas or {}).get(r), level=r,
+        )
+        if fallback:
+            notes.append(f"level {r}: {fallback}, uniform fallback")
+        try:
+            params, trace = optimize_level(
+                prepared.fixed_pyramid.level(r),
+                prepared.moving_pyramid.level(r),
+                dist, params, cfg, make_rng(seed, _LEVEL_STREAM, r),
+                prepared.fixed_range, prepared.moving_range,
             )
-            if fallback:
-                notes.append(f"level {r}: {fallback}, uniform fallback")
-            rng = make_rng(seed, _LEVEL_STREAM, r)
-            env = enveloped.get(r)
-            if env is None:
-                pool = pool or ThreadPoolExecutor(max_workers=1, thread_name_prefix="sampreg-draw")
-                queued = [pool.submit(sampler.draw, dist, rng)
-                          for _ in range(_ahead_count(cfg, dist.expected_count))]
-                drawn = (future.result() for future in queued)
-            else:
-                rng.bit_generator.state = env.rng_state
-                queued = []
-                drawn = (sampler.thin(e, dist) for e in env.draws)
-            plan[r] = dist, rng, queued, drawn
-        for r in list(plan):
-            dist, rng, queued, drawn = plan.pop(r)  # a finished level's draws are freed
-            try:
-                params, trace = optimize_level(
-                    prepared.fixed_pyramid.level(r),
-                    prepared.moving_pyramid.level(r),
-                    dist, params, cfg, rng,
-                    prepared.fixed_range, prepared.moving_range, drawn,
-                )
-            except (InitializationOutsideOverlapError, EmptyDrawError) as e:
-                raise type(e)(f"level {r}: {e}") from e
-            for future in queued:
-                future.cancel()
-            for row in trace["rows"]:
-                escaped_fractions.append(row["escaped"] / max(row["sample_size"], 1))
-            level_reports.append({
-                "level": r,
-                "params": params.to_dict(),
-                "iterations": len(trace["rows"]),
-                "termination": trace["termination"],
-                "trace": trace["rows"],
-                "seed_path": [seed, _LEVEL_STREAM, r],
-                "sampler_kind": dist.kind,
-                "expected_count": dist.expected_count,
-            })
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        except (InitializationOutsideOverlapError, EmptyDrawError) as e:
+            raise type(e)(f"level {r}: {e}") from e
+        for row in trace["rows"]:
+            escaped_fractions.append(row["escaped"] / max(row["sample_size"], 1))
+        level_reports.append({
+            "level": r,
+            "params": params.to_dict(),
+            "iterations": len(trace["rows"]),
+            "termination": trace["termination"],
+            "trace": trace["rows"],
+            "seed_path": [seed, _LEVEL_STREAM, r],
+            "sampler_kind": dist.kind,
+            "expected_count": dist.expected_count,
+        })
     elapsed = time.perf_counter() - start
 
     return RegistrationResult(

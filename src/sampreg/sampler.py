@@ -6,19 +6,24 @@ proportional, and their convex mixture with weight beta on the uniform side.
 Draws are independent Bernoulli trials per voxel, so the selected count is
 binomial with mean equal to the distribution's expected_count.
 
-Runs that share a generator stream but not a distribution can share one
-draw by thinning (Lewis & Shedler, 1979): ``draw_envelope`` draws against a
-per-voxel bound and keeps each hit's uniform, and ``thin`` keeps the hits
-whose uniform also falls below the distribution's own probability.  That
-is exactly ``draw`` from the same generator state, since u < p implies
-u < bound.  ``envelope_bound`` gives a bound for every distribution
-``build`` makes on one level, whatever its kind or weight.
+A draw costs O(M + number of classes), not O(N): it thins proposals from a
+``Cover`` (selection by thinning, Lewis & Shedler, 1979; subset sampling,
+Bringmann & Panagiotou, 2012).  The cover buckets the voxels by a dyadic
+class 2^-k at least their probability, each class proposes every member
+with probability 2^-k, found by geometric skips, each proposal carries a
+uniform v on [0, 2^-k), and voxel i is kept iff v < p_i.  ``build`` gives
+every distribution it makes on a level the same cover, from
+max(urs, gms), so draws of any kind or weight from one generator state
+share their proposals: a voxel kept at one weight is kept at every weight
+that gives it at least the same probability.  A distribution made from
+bare probabilities covers itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,46 +32,95 @@ from sampreg.volume import Volume
 # The sampler kinds, in the order commands list them.
 KINDS = ("urs", "gms", "mixed")
 
-# Uniforms generated at a time by ``draw``: 512 KB of float64, so a draw
-# never holds a float array as long as the level.
-_DRAW_BLOCK = 65536
-
-# Relative margin by which ``envelope_bound`` exceeds max(urs, gms).
+# Relative margin by which a level's cover exceeds max(urs, gms), so it
+# covers the rounding of (1-beta)*gms + beta*urs for every beta in [0, 1]
+# (at most three roundings of a value no larger than max(gms, urs)).
 _BOUND_MARGIN = 2.0 ** -40
+
+# Largest biased float64 exponent of a class: 2^(1022 - 1022) = 1.
+_TOP_EXPONENT = 1022
 
 
 class DegenerateGradientError(ValueError):
     """Gradient field is zero everywhere; gradient sampling is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Cover:
+    """Proposal classes over one level's voxels (see the module notes).
+
+    Class k proposes each of its ``sizes[k]`` members with probability
+    ``values[k]``, which is at least the probability of every distribution
+    it covers there.  ``members`` lists the voxels class by class, in index
+    order within a class; None means one class of every voxel, in order.
+    """
+
+    values: np.ndarray
+    sizes: np.ndarray
+    members: np.ndarray | None = field(default=None, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)  # of each class in ``members``
+    log_miss: np.ndarray = field(init=False, repr=False)  # log(1 - values)
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", np.cumsum(self.sizes) - self.sizes)
+        with np.errstate(divide="ignore"):  # -inf where a class proposes every member
+            object.__setattr__(self, "log_miss", np.log1p(-self.values))
+
+
+def _bucketed(bound: np.ndarray) -> Cover:
+    """Cover putting voxel i in the class 2^e, e <= 0, least above bound[i].
+
+    For a nonnegative float64 that is its biased exponent, bits >> 52,
+    less 1022.  Zero and subnormal bounds (exponent 0) propose nothing.
+    """
+    exponent = np.ascontiguousarray(bound).view(np.int64) >> 52
+    np.minimum(exponent, _TOP_EXPONENT, out=exponent)
+    exponent = exponent.astype(np.int16)
+    counts = np.bincount(exponent)
+    present = np.flatnonzero(counts[1:]) + 1
+    members = np.argsort(exponent, kind="stable")[counts[0]:].astype(np.int32)
+    return Cover(np.ldexp(1.0, present - _TOP_EXPONENT), counts[present], members)
+
+
+@dataclass(frozen=True, eq=False)
 class SamplingDistribution:
-    """Selection probabilities for every voxel of one pyramid level."""
+    """Selection probabilities for every voxel of one pyramid level.
+
+    ``cover`` holds the level's proposal classes, as ``build`` attaches
+    them; None means the probabilities cover themselves.
+    """
 
     probs: np.ndarray
     expected_count: float
     kind: str  # one of KINDS
     level: int | None = None
+    cover: Cover | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
 
     @property
     def num_voxels(self) -> int:
         return self.probs.size
 
+    @cached_property
+    def _own_cover(self) -> Cover:
+        return _bucketed(self.probs)
+
 
 def build_urs(n: int, m: float, level: int | None = None) -> SamplingDistribution:
-    """Uniform sampling: every voxel at probability min(m/n, 1)."""
+    """Uniform sampling: every voxel at probability min(m/n, 1).
+
+    The probabilities are one constant broadcast over the level."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m <= 0:
         raise ValueError("expected sample count m must be positive")
     p = min(float(m) / n, 1.0)
     return SamplingDistribution(
-        probs=np.full(n, p), expected_count=min(float(m), float(n)),
+        probs=np.broadcast_to(p, n), expected_count=min(float(m), float(n)),
         kind="urs", level=level,
+        cover=Cover(np.array([min(p * (1.0 + _BOUND_MARGIN), 1.0)]), np.array([n])),
     )
 
 
@@ -131,7 +185,8 @@ def build_mixed(
             "mixed components must share the expected count "
             f"({u.expected_count} vs {q.expected_count})"
         )
-    probs = (1.0 - beta) * q.probs + beta * u.probs
+    probs = q.probs * (1.0 - beta)
+    probs += beta * u.probs
     return SamplingDistribution(
         probs=probs, expected_count=float(probs.sum()),
         kind="mixed", level=u.level,
@@ -171,75 +226,58 @@ def build(
         return urs, "gradient degenerate"
     if not np.isclose(gms.expected_count, urs.expected_count, rtol=1e-6):
         return urs, "gradient support below budget"
-    if kind == "gms":
-        return gms, None
-    return build_mixed(urs, gms, beta), None
+    # one cover for every kind and weight on the level (see the module notes)
+    cover = _bucketed(np.maximum(gms.probs, urs.probs) * (1.0 + _BOUND_MARGIN))
+    d = gms if kind == "gms" else build_mixed(urs, gms, beta)
+    return replace(d, cover=cover), None
 
 
-def _bernoulli(probs: np.ndarray, rng: np.random.Generator) -> tuple:
-    """(indices, uniforms) of one Bernoulli trial per voxel at ``probs``.
+def _proposals(cover: Cover, rng: np.random.Generator) -> tuple:
+    """(class, position in class) of each proposal of one draw.
 
-    The uniforms are generated ``_DRAW_BLOCK`` at a time into one buffer.
-    A generator's stream carries on across calls, so the indices are those
-    of ``np.flatnonzero(rng.random(n) < probs)``, each with the uniform
-    that selected it, and the generator is left in the same state.
+    Class k proposes each of its members independently with probability
+    ``cover.values[k]``, so a Binomial(sizes[k], values[k]) number of
+    distinct members, uniformly.  Geometric skips between proposals find
+    them, each from one uniform, so the cost follows the number proposed.
     """
-    n = probs.size
-    buf = np.empty(min(n, _DRAW_BLOCK))
-    picked = [np.empty(0, dtype=np.intp)]
-    kept = [np.empty(0)]
-    for lo in range(0, n, _DRAW_BLOCK):
-        u = buf[: min(_DRAW_BLOCK, n - lo)]
-        rng.random(out=u)
-        hits = np.flatnonzero(u < probs[lo : lo + u.size])
-        kept.append(u[hits])
-        hits += lo
-        picked.append(hits)
-    return np.concatenate(picked), np.concatenate(kept)
+    sizes = cover.sizes
+    start = np.zeros(sizes.size, dtype=np.int64)  # first position not yet decided
+    live = np.flatnonzero(sizes)
+    classes, positions = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
+    while live.size:
+        # enough skips to pass a class's end with high probability; classes
+        # that fall short go round again from where they stopped
+        mean = (sizes[live] - start[live]) * cover.values[live]
+        count = (mean + 4.0 * np.sqrt(mean) + 4.0).astype(np.int64)
+        cls = np.repeat(live, count)
+        skip = np.log(1.0 - rng.random(cls.size))
+        with np.errstate(over="ignore"):  # inf in the least classes, clipped next
+            skip /= cover.log_miss[cls]
+        np.minimum(skip, sizes[cls], out=skip)
+        step = skip.astype(np.int64) + 1
+        pos = np.cumsum(step)
+        ends = np.cumsum(count)
+        pos += np.repeat(start[live] - 1 - (pos[ends - count] - step[ends - count]), count)
+        keep = pos < sizes[cls]
+        classes.append(cls[keep])
+        positions.append(pos[keep])
+        start[live] = pos[ends - 1] + 1
+        live = live[start[live] < sizes[live]]
+    return np.concatenate(classes), np.concatenate(positions)
 
 
 def draw(d: SamplingDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Sorted voxel indices from one Bernoulli trial per voxel.
+    """Sorted voxel indices of one Bernoulli trial per voxel at d.probs.
 
-    The indices are those of ``np.flatnonzero(rng.random(n) < d.probs)``,
-    and the generator is left in the same state.
+    Thins the proposals of d's cover (see the module notes), so its cost
+    follows the cover's expected count, at most four times d's.
     """
-    return _bernoulli(d.probs, rng)[0]
-
-
-def envelope_bound(n: int, m: float, gradient: Volume) -> np.ndarray:
-    """Per-voxel probability at least that of every distribution ``build``
-    makes over these inputs, whatever the kind and mixing weight.
-
-    That is max(urs, gms) raised by ``_BOUND_MARGIN``, which covers the
-    rounding of (1-beta)*q + beta*u for every beta in [0, 1] (at most three
-    roundings of a value no larger than max(q, u)); urs alone where the
-    gradient is zero everywhere, as ``build`` then falls back to it.
-    """
-    probs = build_urs(n, m).probs
-    try:
-        probs = np.maximum(probs, build_gms(gradient, m).probs)
-    except DegenerateGradientError:
-        pass
-    return probs * (1.0 + _BOUND_MARGIN)
-
-
-def draw_envelope(bound: np.ndarray, rng: np.random.Generator) -> tuple:
-    """(indices, uniforms) of one draw at per-voxel probability ``bound``.
-
-    ``thin`` turns it into the draw of any distribution whose probabilities
-    are at most ``bound``: a voxel with u < p also has u < bound.  Both
-    consume the same uniforms, so the generator is left where ``draw``
-    leaves it.
-    """
-    return _bernoulli(np.ascontiguousarray(bound, dtype=np.float64), rng)
-
-
-def thin(envelope: tuple, d: SamplingDistribution) -> np.ndarray:
-    """``draw(d, rng)`` from the envelope ``draw_envelope`` made with the
-    same generator state, bit for bit, given d.probs <= its bound."""
-    idx, u = envelope
-    return idx[u < d.probs[idx]]
+    cover = d._own_cover if d.cover is None else d.cover
+    cls, pos = _proposals(cover, rng)
+    idx = pos if cover.members is None else cover.members[cover.starts[cls] + pos]
+    v = rng.random(idx.size)
+    v *= cover.values[cls]
+    return np.sort(idx[v < d.probs[idx]]).astype(np.intp, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class DegenerateHistogramError(ValueError):
     """No histogram mass: empty sample set or every sample escaped."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointHistogram:
     """B x B co-occurrence table of fixed vs moving intensity bins."""
 
@@ -63,7 +63,7 @@ class JointHistogram:
     num_bins: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricEvaluation:
     """NMI value with its derivatives with respect to the 6 rigid parameters."""
 

@@ -22,12 +22,11 @@ frozen level is charged the identity's error at every finer level without
 running again.
 
 A run's draws come from its (pair, trial) seed and its level, never from
-its weight, so every candidate's run of one (pair, trial) shares one
-stream.  ``train_cascade`` draws each such stream once a level, against an
-envelope that bounds every weight's probabilities
-(``optimizer.level_envelope``), and each run thins those draws to its own,
-bit for bit (thinning, Lewis & Shedler 1979).  The call holds the current
-level's envelopes and the next finer level's, no more.
+its weight, and every weight's distribution on a level thins the same
+proposals (see ``sampler``), so the candidates' runs of one (pair, trial)
+are coupled as well: a voxel one weight selects is selected by every
+weight that gives it at least the same probability.  Each run draws its
+own stream, in line.
 
 Once a swarm iteration's positions are fixed its particles are independent,
 so ``pso_minimize`` scores them as one batch (the synchronous parallel PSO
@@ -38,10 +37,7 @@ forking lets the workers share the pairs' prepared pyramids instead of
 unpickling a copy each.  Results come back in submission order and each run
 depends only on its (pair, trial, weights, start estimate), so outputs are
 bit for bit those of running in-process, which is what happens on one CPU
-or while other threads run.  The envelopes are made on the same pool, one
-task per (pair, trial); the next finer level's are queued with the current
-level's runs, so a level's few envelope tasks never run alone while a
-worker waits.
+or while other threads run.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
@@ -79,7 +75,7 @@ def default_probe_points(v: Volume) -> np.ndarray:
     return np.array(pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingPair:
     """One fixed/moving pair with its known-good transform; its error is
     measured at ``default_probe_points`` of the fixed volume."""
@@ -145,23 +141,16 @@ def _trial_seed(seed: int, i: int, trial: int) -> int:
 
 def _level_run(pairs, opt_cfg, rate, run):
     """Estimate of one level run, None where it fails with a charged error."""
-    i, run_seed, betas, num_levels, level, init, envelope = run
+    i, run_seed, betas, num_levels, level, init = run
     pair = pairs[i]
     try:
         return optimizer.register(
             pair.fixed, pair.moving, sampler_kind="mixed", betas=betas,
             rate=rate, cfg=opt_cfg, seed=run_seed, num_levels=num_levels,
             stop_level=level, prepared=_prepared(pair, i), init=init,
-            envelopes=() if envelope is None else (envelope,),
         ).final_params
     except _CHARGED:
         return None
-
-
-def _level_envelope(pairs, opt_cfg, rate, task):
-    """The envelope draws every run of one (pair, trial) at a level thins."""
-    i, run_seed, level = task
-    return optimizer.level_envelope(_prepared(pairs[i], i), rate, run_seed, level, opt_cfg)
 
 
 # (pairs, opt_cfg, rate) in a pool worker, set by _start_worker; None elsewhere.
@@ -173,9 +162,8 @@ def _start_worker(*args):
     _worker_args = args
 
 
-def _in_worker(call):
-    fn, item = call
-    return fn(*_worker_args, item)
+def _in_worker(run):
+    return _level_run(*_worker_args, run)
 
 
 def _pool_workers(batch: int) -> int:
@@ -209,28 +197,14 @@ class _LevelRuns:
         self.failed = 0
         self.reused = 0
 
-    def _map(self, fn, items: list) -> list:
-        if self._pool is None:
-            return [fn(*self._args, item) for item in items]
-        return list(self._pool.map(_in_worker, [(fn, item) for item in items]))
-
     def __call__(self, runs: list) -> list:
-        results = self._map(_level_run, runs)
+        if self._pool is None:
+            results = [_level_run(*self._args, run) for run in runs]
+        else:
+            results = list(self._pool.map(_in_worker, runs))
         self.made += len(runs)
         self.failed += sum(est is None for est in results)
         return results
-
-    def envelopes(self, tasks: list) -> list:
-        """Futures of the ``optimizer.level_envelope`` of each (pair, run seed,
-        level) task: on the pool they queue ahead of the next batch, here
-        they are made at once."""
-        if self._pool is not None:
-            return [self._pool.submit(_in_worker, (_level_envelope, task)) for task in tasks]
-        made = []
-        for task in tasks:
-            made.append(Future())
-            made[-1].set_result(_level_envelope(*self._args, task))
-        return made
 
     def close(self) -> None:
         if self._pool is not None:
@@ -244,7 +218,7 @@ def _cells(num_pairs: int, u_trials: int, starts) -> list:
 
 
 def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas, seed,
-                 num_levels, starts, envelopes=None) -> list:
+                 num_levels, starts) -> list:
     """Mean ETRE of each candidate weight at ``level`` (see ``objective_Q``).
 
     ``memo`` maps each weight already run at this level, from these frozen
@@ -254,8 +228,6 @@ def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas
     then trial.  Without ``starts`` each run is the cascade num_levels..level
     from the identity; with them, level ``level`` alone from
     ``starts[pair][trial]``, and a None start stays None without a run.
-    ``envelopes`` maps each cell that runs to the level envelope its runs
-    thin (see ``optimizer.level_envelope``); without it they draw their own.
     """
     for beta in candidates:
         if not 0.0 <= beta <= 1.0:
@@ -271,8 +243,7 @@ def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas
     runs = [
         (i, _trial_seed(seed, i, trial), {**frozen, level: beta},
          num_levels if starts is None else level, level,
-         None if starts is None else starts[i][trial],
-         None if envelopes is None else envelopes[i, trial])
+         None if starts is None else starts[i][trial])
         for beta in fresh for i, trial in cells
     ]
     results = iter(run_all(runs))
@@ -307,8 +278,8 @@ def objective_Q(
     is used at ``level`` itself and the cascade stops there.  Given
     ``starts``, the frozen level-(level+1) estimates per pair and trial
     (None where that run failed), level ``level`` runs alone from them.
-    Runs happen in this process, afresh on every call, each drawing its own
-    stream (no envelopes): the reference that ``train_cascade`` must match.
+    Runs happen in this process, afresh on every call: the reference that
+    ``train_cascade`` must match.
     """
     pairs = list(pairs)
     return _candidate_q(_LevelRuns(pairs, opt_cfg, rate), {}, level, [beta], pairs,
@@ -378,12 +349,11 @@ def train_cascade(
     carries per-level swarm histories and best objective values, the
     distinct level runs made (``runs``), how many of them were charged the
     identity's error (``failed``), how many (candidate, pair, trial)
-    scorings a run already made at that level answered (``reused``), the
-    level envelopes made for it (``streams``, one per (pair, trial) that
-    ran the level above) and the level's wall time (``elapsed_s``), plus
-    the settings needed to reproduce the run.  Level runs and envelopes go
-    to a process pool with one worker per usable CPU, at most one per run
-    of a swarm iteration (see the module notes).
+    scorings a run already made at that level answered (``reused``) and
+    the level's wall time (``elapsed_s``), plus the settings needed to
+    reproduce the run.  Level runs go to a process pool with one worker per
+    usable CPU, at most one per run of a swarm iteration (see the module
+    notes).
 
     Each level's swarm is seeded from ``seed`` and the level, so
     ``pso_cfg.seed`` has no effect here.
@@ -398,28 +368,16 @@ def train_cascade(
     betas: dict = {}
     report_levels = []
     starts = None
-
-    def make_envelopes(level, cells):  # (cell, future) of each cell's level envelope
-        return list(zip(cells, run_all.envelopes(
-            [(i, _trial_seed(seed, i, trial), level) for i, trial in cells])))
-
     try:
-        pending = make_envelopes(num_levels, _cells(len(pairs), u_trials, starts))
         for r in range(num_levels, 0, -1):
             start = time.perf_counter()
             made, failed, reused = run_all.made, run_all.failed, run_all.reused
             frozen, memo = dict(betas), {}
-            # every candidate's run of a (pair, trial) thins the same draws
-            envelopes = {cell: future.result() for cell, future in pending}
 
-            def objective(positions, _level=r, _frozen=frozen, _starts=starts, _memo=memo,
-                          _envelopes=envelopes):
+            def objective(positions, _level=r, _frozen=frozen, _starts=starts, _memo=memo):
                 return _candidate_q(run_all, _memo, _level, positions, pairs, u_trials,
-                                    _frozen, seed, num_levels, _starts, _envelopes)
+                                    _frozen, seed, num_levels, _starts)
 
-            # the next finer level's are made while this level's runs go, for
-            # every cell that runs here (those whose winning run fails go unused)
-            pending = make_envelopes(r - 1, _cells(len(pairs), u_trials, starts)) if r > 1 else []
             level_cfg = replace(pso_cfg, seed=derive_seed(seed, _PSO_STREAM, r))
             best_beta, best_q, history = pso_minimize(objective, level_cfg)
             betas[r] = float(best_beta)
@@ -436,7 +394,6 @@ def train_cascade(
                 "runs": run_all.made - made,
                 "failed": run_all.failed - failed,
                 "reused": run_all.reused - reused,
-                "streams": len(envelopes),
                 "elapsed_s": time.perf_counter() - start,
             })
     finally:

@@ -25,7 +25,7 @@ def _as_vec3(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidParams:
     """Translation (mm), rotation (rad) and rotation center (mm)."""
 

@@ -30,7 +30,7 @@ class UnsupportedVoxelTypeError(VolumeFormatError):
     """Raised for NIfTI datatype codes outside the supported set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Volume:
     """A dense scalar intensity field with physical spacing and origin."""
 
@@ -101,7 +101,7 @@ class Volume:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pyramid:
     """Multi-resolution stack; ``levels[0]`` is the finest level (r = 1)."""
 

@@ -1,12 +1,13 @@
 """Trust-region level optimizer and multi-resolution cascade tests."""
 
+import copy
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sampreg import bench, optimizer, sampler, training, transform
+from sampreg import bench, optimizer, sampler, similarity, training, transform
 from sampreg.optimizer import (
     EmptyDrawError,
     InitializationOutsideOverlapError,
@@ -361,7 +362,6 @@ def test_failed_register_leaves_no_draw_worker(phantom32):
             rate=0.01, cfg=OptimizerConfig(max_iters=50), seed=0,
         )
     assert threading.active_count() == before
-    assert not [t for t in threading.enumerate() if t.name.startswith("sampreg-draw")]
 
 
 def in_line_cascade(fixed, moving, kind, rate, cfg, seed, betas=None):
@@ -390,13 +390,12 @@ def assert_same_levels(result, reference):
             for lv in result.levels] == reference
 
 
-# A short budget with a high radius floor, so levels stop before their budget
-# and leave queued draws unused.
+# A short budget with a high radius floor, so levels stop before their budget.
 EARLY_STOP_CFG = OptimizerConfig(max_iters=6, initial_radius=1.0, min_radius=0.3)
 
 
 @pytest.mark.parametrize("kind", sampler.KINDS)
-def test_drawing_ahead_is_bit_identical_to_drawing_in_line(pair32, kind):
+def test_register_is_the_level_by_level_cascade(pair32, kind):
     fixed, moving, _ = pair32
     betas = {r: 0.3 for r in range(1, 5)}
     reference = in_line_cascade(fixed, moving, kind, 0.01, EARLY_STOP_CFG, 6, betas)
@@ -408,44 +407,29 @@ def test_drawing_ahead_is_bit_identical_to_drawing_in_line(pair32, kind):
     assert_same_levels(result, reference)
 
 
-@pytest.fixture
-def draw_threads(monkeypatch):
-    """(level, thread name) of every sampler.draw call, in call order."""
-    made = []
+@pytest.mark.parametrize("kind", sampler.KINDS)
+def test_drawing_ahead_is_bit_identical_to_drawing_in_line(pair32, monkeypatch, kind):
+    """A level's generator feeds its draws and nothing else, so making all of
+    a level's draws ahead, before its first iteration, changes no bit."""
+    fixed, moving, _ = pair32
+    betas = {r: 0.3 for r in range(1, 5)}
+    reference = in_line_cascade(fixed, moving, kind, 0.01, EARLY_STOP_CFG, 6, betas)
     real = sampler.draw
+    queued = {}
 
-    def recording(dist, rng):
-        made.append((dist.level, threading.current_thread().name))
-        return real(dist, rng)
+    def ahead(dist, rng):
+        if dist.level not in queued:  # the level's first draw: make all of them
+            queued[dist.level] = [real(dist, rng) for _ in range(EARLY_STOP_CFG.max_iters)]
+        # past the queue (only after an empty draw), draw in line
+        return queued[dist.level].pop(0) if queued[dist.level] else real(dist, rng)
 
-    monkeypatch.setattr(sampler, "draw", recording)
-    return made
-
-
-def test_levels_draw_in_line_once_the_queued_draws_are_used(pair32, monkeypatch, draw_threads):
-    fixed, moving, _ = pair32
-    reference = in_line_cascade(fixed, moving, "urs", 0.01, EARLY_STOP_CFG, 7)
-    draw_threads.clear()
-    monkeypatch.setattr(optimizer, "_AHEAD_INDICES", 1)  # one draw ahead a level
+    monkeypatch.setattr(sampler, "draw", ahead)
     result = optimizer.register(
-        fixed, moving, sampler_kind="urs", rate=0.01, cfg=EARLY_STOP_CFG, seed=7,
+        fixed, moving, sampler_kind=kind, betas=betas, rate=0.01,
+        cfg=EARLY_STOP_CFG, seed=6,
     )
+    assert sorted(queued) == [1, 2, 3, 4]
     assert_same_levels(result, reference)
-    for lv in result.levels:
-        made = [name for level, name in draw_threads if level == lv["level"]]
-        assert made[0].startswith("sampreg-draw")
-        assert made[1:] == ["MainThread"] * (lv["iterations"] - 1)
-
-
-def test_draws_are_made_ahead_on_one_worker(pair32, draw_threads):
-    fixed, moving, _ = pair32
-    cfg = OptimizerConfig(max_iters=4)
-    result = optimizer.register(fixed, moving, sampler_kind="urs", rate=0.01, cfg=cfg, seed=2)
-    assert len({name for _, name in draw_threads}) == 1
-    assert draw_threads[0][1].startswith("sampreg-draw")
-    for lv in result.levels:
-        made = sum(level == lv["level"] for level, _ in draw_threads)
-        assert lv["iterations"] <= made <= cfg.max_iters
 
 
 @pytest.mark.parametrize("kind", sampler.KINDS)
@@ -539,3 +523,27 @@ def test_empty_draws_raise_empty_draw_error_naming_the_cause(phantom32, monkeypa
         f"(expected count {draws[0]:.3g} a draw)"
     )
     assert not isinstance(exc.value, InitializationOutsideOverlapError)
+
+
+def array_records():
+    """One of each frozen record that holds numpy arrays."""
+    fixed = Volume(make_rng(3).random((8, 8, 8)), spacing=(1, 1, 1))
+    prepared = optimizer.prepare(fixed, fixed, num_levels=2)
+    params, idx = transform.RigidParams(center=fixed.center_mm), np.arange(0, 512, 7)
+    return {
+        "Volume": fixed,
+        "Pyramid": prepared.fixed_pyramid,
+        "SamplingDistribution": sampler.build_urs(fixed.num_voxels, 10.0),
+        "JointHistogram": similarity.accumulate(fixed, fixed, params, idx, 8, 1),
+        "MetricEvaluation": similarity.evaluate(fixed, fixed, params, idx, 8, 1),
+        "RigidParams": transform.RigidParams(t=(1.0, 2.0, 3.0)),
+        "PreparedPair": prepared,
+        "TrainingPair": training.TrainingPair(fixed, fixed, transform.RigidParams()),
+    }
+
+
+@pytest.mark.parametrize("name", list(array_records()))
+def test_array_holding_records_compare_without_raising(name):
+    x = array_records()[name]
+    assert x == x
+    assert isinstance(x == copy.deepcopy(x), bool)

@@ -1,7 +1,6 @@
 """Sampling distribution construction and Bernoulli draw tests."""
 
 import functools
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -231,20 +230,6 @@ def test_draw_same_seed_is_reproducible():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("n", [
-    sampler._DRAW_BLOCK - 1, sampler._DRAW_BLOCK, sampler._DRAW_BLOCK + 1, 96 ** 3,
-])
-def test_blockwise_draw_keeps_the_whole_level_stream(n):
-    probs = np.linspace(0.0, 0.01, n)
-    d = sampler.SamplingDistribution(probs=probs, expected_count=probs.sum(), kind="gms")
-    blockwise, whole = make_rng(9, n), make_rng(9, n)
-    for _ in range(2):  # the second draw checks where the stream was left
-        expected = np.flatnonzero(whole.random(n) < probs)
-        got = sampler.draw(d, blockwise)
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
-
-
 def test_draw_returns_sorted_unique_indices():
     d = sampler.build_urs(2000, 100)
     idx = sampler.draw(d, make_rng(5))
@@ -255,6 +240,29 @@ def test_draw_cardinality_concentrates():
     d = sampler.build_urs(10000, 100)
     counts = [len(sampler.draw(d, make_rng(60, k))) for k in range(200)]
     assert abs(np.mean(counts) - 100) <= 3 * np.sqrt(100)
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 96 ** 3])
+def test_blockwise_draw_keeps_the_whole_level_stream(n):
+    """A draw proposes in rounds of geometric skips, class by class; over
+    levels about and well past 2^16 voxels its draws reach every quarter of
+    the level at that quarter's rate, and a generator at the same seed
+    repeats them and ends at the same place."""
+    probs = np.linspace(0.0, 0.01, n)
+    d = sampler.SamplingDistribution(probs=probs, expected_count=probs.sum(), kind="gms")
+    k = 40
+    rng, again = make_rng(9, n), make_rng(9, n)
+    drawn = [sampler.draw(d, rng) for _ in range(k)]
+    for idx in drawn:
+        assert idx.dtype == np.intp and np.all(np.diff(idx) > 0)
+        assert idx[0] > 0 and idx[-1] < n  # voxel 0 has probability 0
+        np.testing.assert_array_equal(sampler.draw(d, again), idx)
+    assert repr(rng.bit_generator.state) == repr(again.bit_generator.state)
+    edges = np.linspace(0, n, 5).astype(int)
+    hits = np.histogram(np.concatenate(drawn), bins=edges)[0]
+    for q, count in enumerate(hits):
+        p = probs[edges[q]:edges[q + 1]]
+        assert abs(count - k * p.sum()) < 5 * np.sqrt(k * (p * (1 - p)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -371,33 +379,51 @@ def test_draw_frequencies_match_probs():
 
 
 # ---------------------------------------------------------------------------
-# Envelope draws and thinning
+# Covers: proposals shared by a level's distributions, and the draw's cost
 # ---------------------------------------------------------------------------
 
 
+def class_values(d: sampler.SamplingDistribution) -> np.ndarray:
+    """The proposal probability d's cover gives each voxel (0: never proposed)."""
+    cover = d.cover
+    if cover.members is None:
+        return np.full(d.num_voxels, cover.values[0])
+    values = np.zeros(d.num_voxels)
+    values[cover.members] = np.repeat(cover.values, cover.sizes)
+    return values
+
+
 @settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(1, 40),
-    block=st.integers(1, 9),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_thinning_an_envelope_draw_is_the_draw(n, block, seed, data):
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_thinning_an_envelope_draw_is_the_draw(n, seed, data):
+    """A draw thins its cover's proposals: from one generator state, the
+    draw at the cover's own class values (the envelope, which keeps every
+    proposal) holds every voxel the draw keeps, and every proposed voxel
+    whose probability is its class value."""
     bound = np.array(data.draw(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)))
     # p <= bound voxel by voxel, with ties (fraction 1) and zeros among them
     frac = np.array(data.draw(st.lists(
         st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=n, max_size=n,
     )))
+    cover = sampler._bucketed(bound)
     probs = np.minimum(bound * frac, 1.0)
-    d = sampler.SamplingDistribution(probs=probs, expected_count=probs.sum(), kind="gms")
+    d = sampler.SamplingDistribution(probs=probs, expected_count=probs.sum(), kind="gms",
+                                     cover=cover)
+    values = class_values(d)
+    # zero and subnormal bounds (below 2^-1022) propose nothing; every other
+    # voxel's class value is at least its probability
+    proposable = values > 0
+    np.testing.assert_array_equal(proposable, bound >= np.finfo(np.float64).tiny)
+    assert np.all(probs[proposable] <= values[proposable])
+    envelope = sampler.SamplingDistribution(probs=values, expected_count=values.sum(),
+                                            kind="gms", cover=cover)
     enveloped, direct = make_rng(seed), make_rng(seed)
-    with patch.object(sampler, "_DRAW_BLOCK", block):  # draws span several blocks
-        for _ in range(3):  # later draws check where the stream was left
-            idx, u = sampler.draw_envelope(bound, enveloped)
-            assert np.all(u < bound[idx]) and np.all(np.diff(idx) > 0)
-            got, expected = sampler.thin((idx, u), d), sampler.draw(d, direct)
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
+    for _ in range(3):  # later draws check where the stream was left
+        proposed, got = sampler.draw(envelope, enveloped), sampler.draw(d, direct)
+        assert got.dtype == proposed.dtype and np.all(np.diff(proposed) > 0)
+        assert np.all(np.isin(got, proposed)) and np.all(probs[got] > 0)
+        certain = proposed[probs[proposed] == values[proposed]]
+        assert np.all(np.isin(certain, got))
     # the state holds small arrays (counter, key, buffer), which repr prints whole
     assert repr(enveloped.bit_generator.state) == repr(direct.bit_generator.state)
 
@@ -407,11 +433,23 @@ def test_thinning_an_envelope_draw_is_the_draw(n, block, seed, data):
 EDGE_BETAS = (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
 
 
-def assert_bound_covers_every_build(n, m, g, bound, betas):
-    assert np.all(sampler.build("urs", n, m)[0].probs <= bound)
-    assert np.all(sampler.build("gms", n, m, g)[0].probs <= bound)
+def assert_cover_covers_every_build(n, m, g, betas):
+    """Every distribution ``build`` makes on these inputs lies under its
+    cover's class values, the level's envelope bound, and every gms or
+    mixed one has the same cover."""
+    urs = sampler.build("urs", n, m)[0]
+    assert np.all(urs.probs <= class_values(urs))
+    gms, fallback = sampler.build("gms", n, m, g)
+    level = class_values(gms)
+    assert np.all(level <= 1.0) and np.all(gms.probs <= level)
     for beta in betas:
-        assert np.all(sampler.build("mixed", n, m, g, beta=beta)[0].probs <= bound)
+        mixed = sampler.build("mixed", n, m, g, beta=beta)[0]
+        assert np.all(mixed.probs <= level)
+        np.testing.assert_array_equal(class_values(mixed), level)
+    if fallback is None:  # max(urs, gms), rounded up to a power of two, at most 1
+        top = np.maximum(urs.probs, gms.probs)
+        assert np.all((top < level) | (level == 1.0))
+        assert np.all(level < 2 * top * (1 + 2.0 ** -40))
 
 
 # Mixing weights anywhere in [0, 1], and within 1e-9 of either end, where
@@ -432,8 +470,7 @@ def test_envelope_bound_covers_mixtures_where_gms_equals_urs(dims, m, betas):
     g = Volume(data=np.ones(dims), spacing=(1, 1, 1))
     n = g.num_voxels
     np.testing.assert_array_equal(sampler.build_gms(g, m).probs, sampler.build_urs(n, m).probs)
-    assert_bound_covers_every_build(n, m, g, sampler.envelope_bound(n, m, g),
-                                    EDGE_BETAS + tuple(betas))
+    assert_cover_covers_every_build(n, m, g, EDGE_BETAS + tuple(betas))
 
 
 @settings(max_examples=60, deadline=None)
@@ -446,9 +483,57 @@ def test_envelope_bound_covers_mixtures_where_gms_equals_urs(dims, m, betas):
 )
 def test_envelope_bound_covers_every_distribution_build_makes(values, m, beta):
     # zeros make the degenerate and below-budget urs fallbacks
-    g = gradient_volume(values)
-    assert_bound_covers_every_build(8, m, g, sampler.envelope_bound(8, m, g),
-                                    EDGE_BETAS + (beta,))
+    assert_cover_covers_every_build(8, m, gradient_volume(values), EDGE_BETAS + (beta,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    data_seed=st.integers(0, 2**32 - 1),
+    power=st.floats(0.0, 4.0),
+    m=st.floats(0.5, 30.0),
+    betas=st.tuples(WEIGHTS, WEIGHTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draws_at_two_weights_are_coupled(dims, data_seed, power, m, betas, seed):
+    """From one level's cover and one generator state, a voxel drawn at one
+    weight is drawn at every weight that gives it at least the same
+    probability; training's common random numbers rest on this."""
+    g = Volume(data=make_rng(data_seed).random(dims) ** power, spacing=(1, 1, 1))
+    n = g.num_voxels
+    d1, d2 = (sampler.build("mixed", n, min(m, n), g, beta=beta)[0] for beta in betas)
+    rng1, rng2 = make_rng(seed), make_rng(seed)
+    for _ in range(3):  # later draws check that both leave the stream at one place
+        picked1, picked2 = sampler.draw(d1, rng1), sampler.draw(d2, rng2)
+        at_least = d2.probs[picked1] >= d1.probs[picked1]
+        assert np.all(np.isin(picked1[at_least], picked2))
+        at_most = d1.probs[picked2] >= d2.probs[picked2]
+        assert np.all(np.isin(picked2[at_most], picked1))
+    # the state holds small arrays (counter, key, buffer), which repr prints whole
+    assert repr(rng1.bit_generator.state) == repr(rng2.bit_generator.state)
+
+
+def words_used(rng) -> int:
+    """64-bit words a fresh Philox generator has produced."""
+    state = rng.bit_generator.state
+    counter = sum(int(w) << (64 * i) for i, w in enumerate(state["state"]["counter"]))
+    return 4 * counter - (4 - state["buffer_pos"])
+
+
+@pytest.mark.parametrize("kind", ["urs", "mixed"])
+def test_draw_cost_follows_the_sample_count_not_the_voxel_count(kind):
+    """At one budget, a draw from 2^22 voxels uses about as many random
+    words as a draw from 2^16; one uniform per voxel would use 64 times more."""
+    used = []
+    for dims in ((64, 32, 32), (256, 128, 128)):
+        g = Volume(data=make_rng(35).gamma(2.0, size=dims).astype(np.float32), spacing=(1, 1, 1))
+        d, fallback = sampler.build(kind, g.num_voxels, 500, g, beta=0.5)
+        assert fallback is None
+        rng = make_rng(36)
+        picked = sum(sampler.draw(d, rng).size for _ in range(20))
+        assert abs(picked - 20 * 500) < 5 * np.sqrt(20 * 500)
+        used.append(words_used(rng))
+    assert 0.5 < used[1] / used[0] < 2.0, used
 
 
 # ---------------------------------------------------------------------------

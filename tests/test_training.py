@@ -8,13 +8,10 @@ that read one pin ``train_cascade`` to a single CPU with ``use_cpus``.
 
 import multiprocessing
 import os
-import re
 import threading
 
 import numpy as np
 import pytest
-
-from test_optimizer import dot_volume
 
 from sampreg import optimizer, sampler, similarity, training
 from sampreg.rng import derive_seed, make_rng
@@ -55,13 +52,12 @@ def untimed(report):
 def install_register_stub(monkeypatch, calls, est_factory):
     def stub(fixed, moving, sampler_kind="mixed", betas=None, rate=0.01,
              cfg=None, seed=0, num_levels=4, stop_level=1, prepared=None,
-             init=None, envelopes=()):
+             init=None):
         calls.append({
             "betas": dict(betas), "seed": seed, "num_levels": num_levels,
             "stop_level": stop_level, "init": init,
             "rate": rate, "sampler_kind": sampler_kind,
             "num_bins": cfg.num_bins, "kernel_radius": cfg.kernel_radius,
-            "envelopes": [(e.seed, e.level) for e in envelopes],
         })
         return StubResult(est_factory(seed))
 
@@ -177,7 +173,6 @@ def test_objective_is_hand_computable_mean(monkeypatch):
     # pair 1 misses gold by 1mm (term 1.0), pair 2 by 2mm (term 4.0)
     assert q == pytest.approx((1.0 * 3 + 4.0 * 3) / 6, abs=1e-12)
     assert len(calls) == 6  # V * U registrations
-    assert all(call["envelopes"] == [] for call in calls)  # each draws its own stream
     for call in calls:
         assert call["stop_level"] == 2
         assert call["sampler_kind"] == "mixed"
@@ -330,9 +325,6 @@ def test_train_cascade_budget_and_freezing(monkeypatch):
         (2, 5 * 4, 4), (1, 5 * 4, 4)]
     assert len(calls) == 5 * 4 * 2
     assert all(c["num_bins"] == 24 and c["kernel_radius"] == 3 for c in calls)
-    # each run thins the envelope of its own (pair, trial) and level
-    assert all(c["envelopes"] == [(c["seed"], c["stop_level"])] for c in calls)
-    assert [lv["streams"] for lv in report["levels"]] == [2 * 2, 2 * 2]
     assert set(betas) == {1, 2}
     assert all(0.0 <= b <= 1.0 for b in betas.values())
     level2, level1 = calls[:20], calls[20:]
@@ -673,152 +665,63 @@ def test_worker_error_propagates_and_leaves_no_process(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Shared level streams (envelopes)
+# Level streams
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "pool"])
-def test_train_cascade_makes_one_envelope_per_pair_trial_and_level(
-    pair32, monkeypatch, tmp_path, cpus,
-):
+def test_train_cascade_runs_draw_their_own_streams(pair32, monkeypatch, tmp_path, cpus):
     fixed, moving, gold = pair32
     log = tmp_path / "log"
-    real_envelope, real_register = optimizer.level_envelope, optimizer.register
+    real_draw, real_register = sampler.draw, optimizer.register
 
-    def logging_envelope(prepared, rate, seed, level, cfg):
+    def logging_draw(d, rng):
         with open(log, "a") as f:
-            f.write(f"envelope {seed}:{level}\n")
-        return real_envelope(prepared, rate, seed, level, cfg)
+            f.write(f"draw {os.getpid()}\n")
+        return real_draw(d, rng)
 
-    def logging_register(*args, seed, stop_level, envelopes, **kwargs):
+    def logging_register(*args, **kwargs):
         with open(log, "a") as f:
-            f.write(f"run {seed}:{stop_level} {' '.join(f'{e.seed}:{e.level}' for e in envelopes)}\n")
-        return real_register(*args, seed=seed, stop_level=stop_level, envelopes=envelopes,
-                             **kwargs)
+            f.write(f"run {os.getpid()}\n")
+        return real_register(*args, **kwargs)
 
     use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(optimizer, "level_envelope", logging_envelope)
+    monkeypatch.setattr(sampler, "draw", logging_draw)
     monkeypatch.setattr(optimizer, "register", logging_register)
     pairs = [TrainingPair(fixed=fixed, moving=moving, gold=gold) for _ in range(2)]
     _, report = training.train_cascade(
         pairs, u_trials=2, pso_cfg=PsoConfig(particles=2, iterations=2),
         opt_cfg=optimizer.OptimizerConfig(max_iters=2), rate=0.01, seed=9, num_levels=3,
     )
-    made = [line.split()[1] for line in log.read_text().splitlines()
-            if line.startswith("envelope")]
-    runs = [line.split()[1:] for line in log.read_text().splitlines() if line.startswith("run")]
-    # 2 pairs * 2 trials * 3 levels, each made once, while 3 positions a
-    # level run on each (pair, trial)
-    assert len(made) == len(set(made)) == 2 * 2 * 3
-    assert [lv["streams"] for lv in report["levels"]] == [2 * 2] * 3
+    lines = [line.split() for line in log.read_text().splitlines()]
+    runs = [pid for kind, pid in lines if kind == "run"]
+    draws = [pid for kind, pid in lines if kind == "draw"]
+    # 3 positions a level on each (pair, trial), each run drawing in its own process
     assert len(runs) == 3 * 2 * 2 * 3
-    assert all(envelopes == [run] for run, *envelopes in runs)
-
-
-def flat_volume(like):
-    """A constant volume: its gradient is zero everywhere."""
-    return Volume(np.full(like.dims, 50.0), spacing=like.spacing, origin=like.origin)
-
-
-def level_run_with_and_without_envelope(monkeypatch, fixed, moving, level, rate, seed, cfg):
-    """``register`` outputs (or ``EmptyDrawError`` text) of one level run
-    from its own draws, then from its envelope, and the ``sampler.draw``
-    calls each made."""
-    prepared = optimizer.prepare(fixed, moving)
-    run = dict(sampler_kind="mixed", betas={level: 0.4}, rate=rate, cfg=cfg, seed=seed,
-               num_levels=level, stop_level=level, prepared=prepared)
-    calls = []
-    real = sampler.draw
-
-    def counting(dist, rng):
-        calls[-1] += 1
-        return real(dist, rng)
-
-    monkeypatch.setattr(sampler, "draw", counting)
-    outcomes = []
-    for envelopes in ((), (optimizer.level_envelope(prepared, rate, seed, level, cfg),)):
-        calls.append(0)
-        try:
-            result = optimizer.register(fixed, moving, envelopes=envelopes, **run).to_dict()
-            result.pop("elapsed_s")
-            outcomes.append(result)
-        except optimizer.EmptyDrawError as e:
-            outcomes.append(str(e))
-    return outcomes, calls
-
-
-@pytest.mark.parametrize("case", ["mixed", "flat", "below_budget", "tiny_budget"])
-def test_a_level_run_is_the_same_with_its_envelope(pair32, monkeypatch, case):
-    fixed, moving, _ = pair32
-    moving = {"flat": flat_volume, "below_budget": dot_volume}.get(case, lambda v: v)(moving)
-    rate = 1e-9 if case == "tiny_budget" else 0.01  # tiny: one sample a draw expected
-    if case == "tiny_budget":
-        monkeypatch.setattr(optimizer, "_AHEAD_INDICES", 1)  # an envelope of one draw
-    (plain, enveloped), (_, inline) = level_run_with_and_without_envelope(
-        monkeypatch, fixed, moving, 1, rate, 3, optimizer.OptimizerConfig(max_iters=12))
-    assert plain == enveloped
-    fallback = {"flat": "gradient degenerate", "below_budget": "gradient support below budget"}
-    assert plain["notes"] == ([f"level 1: {fallback[case]}, uniform fallback"]
-                              if case in fallback else [])
-    if case == "tiny_budget":
-        # the enveloped run drew on past its one draw, and some draws were empty
-        assert 1 + inline > plain["levels"][0]["iterations"]
-    else:
-        assert inline == 0
-
-
-def test_an_envelope_run_past_its_draws_raises_the_same_empty_draw_error(pair32, monkeypatch):
-    fixed, moving, _ = pair32
-    monkeypatch.setattr(optimizer, "_AHEAD_INDICES", 1)  # an envelope of one draw
-    monkeypatch.setattr(optimizer, "_EMPTY_DRAWS", 2)
-    (plain, enveloped), _ = level_run_with_and_without_envelope(
-        monkeypatch, fixed, moving, 1, 1e-9, 3, optimizer.OptimizerConfig(max_iters=40))
-    assert plain == enveloped
-    assert re.fullmatch(r"level 1: iteration [1-9]\d*: 2 draws in a row selected no voxel "
-                        r"\(expected count 1 a draw\)", plain)
-
-
-def test_register_refuses_an_envelope_of_another_run(pair32):
-    fixed, moving, _ = pair32
-    prepared = optimizer.prepare(fixed, moving)
-    cfg = optimizer.OptimizerConfig(max_iters=2)
-    envelope = optimizer.level_envelope(prepared, 0.01, 5, 2, cfg)
-    run = dict(sampler_kind="mixed", betas={r: 0.5 for r in range(1, 5)}, cfg=cfg,
-               prepared=prepared)
-    optimizer.register(fixed, moving, rate=0.01, seed=5, num_levels=2, stop_level=2,
-                       envelopes=(envelope,), **run)
-    for other in (
-        dict(rate=0.01, seed=6, num_levels=2, stop_level=2),  # another seed
-        dict(rate=0.01, seed=5, num_levels=3, stop_level=3),  # another level
-        dict(rate=0.01, seed=5, num_levels=1, stop_level=1),
-        dict(rate=0.02, seed=5, num_levels=2, stop_level=2),  # another budget
-    ):
-        with pytest.raises(ValueError, match="envelope of seed 5, level 2"):
-            optimizer.register(fixed, moving, envelopes=(envelope,), **other, **run)
-    with pytest.raises(ValueError, match="envelope"):  # two for one level
-        optimizer.register(fixed, moving, rate=0.01, seed=5, num_levels=2, stop_level=2,
-                           envelopes=(envelope, envelope), **run)
+    assert len(draws) >= len(runs) and set(draws) == set(runs)
+    assert (set(runs) == {str(os.getpid())}) == (cpus == 1)
+    assert all("streams" not in lv for lv in report["levels"])
 
 
 def test_an_enveloped_level_starts_no_draw_thread(pair32, monkeypatch):
+    """Every level draws from its cover in line, on the calling thread, and
+    registration starts no thread to draw ahead."""
     fixed, moving, _ = pair32
-    prepared = optimizer.prepare(fixed, moving)
-    cfg = optimizer.OptimizerConfig(max_iters=4)
-    draw_threads = []
-    real = sampler.thin
+    before = threading.active_count()
+    seen = []
+    real = sampler.draw
 
-    def watching(envelope, dist):
-        draw_threads.extend(t.name for t in threading.enumerate()
-                            if t.name.startswith("sampreg-draw"))
-        return real(envelope, dist)
+    def watching(dist, rng):
+        seen.append((dist.level, dist.cover is not None,
+                     threading.current_thread() is threading.main_thread(),
+                     threading.active_count()))
+        return real(dist, rng)
 
-    monkeypatch.setattr(sampler, "thin", watching)
-    run = dict(sampler_kind="mixed", betas={r: 0.5 for r in range(1, 5)}, rate=0.01,
-               cfg=cfg, seed=4, prepared=prepared)
-    envelope = optimizer.level_envelope(prepared, 0.01, 4, 2, cfg)
-    result = optimizer.register(fixed, moving, num_levels=2, stop_level=2,
-                                envelopes=(envelope,), **run)
-    assert result.levels[0]["iterations"] == 4 and draw_threads == []
-    # a cascade whose other levels have no envelope queues theirs on the thread
-    optimizer.register(fixed, moving, num_levels=3, stop_level=2, envelopes=(envelope,), **run)
-    assert draw_threads and set(draw_threads) <= {"sampreg-draw_0"}
+    monkeypatch.setattr(sampler, "draw", watching)
+    result = optimizer.register(
+        fixed, moving, sampler_kind="mixed", betas={r: 0.5 for r in range(1, 5)}, rate=0.01,
+        cfg=optimizer.OptimizerConfig(max_iters=4), seed=4, num_levels=3, stop_level=2,
+    )
+    assert [level for level, *_ in seen] == [3] * 4 + [2] * 4
+    assert [lv["iterations"] for lv in result.levels] == [4, 4]
+    assert all(covered and main and count == before for _, covered, main, count in seen)
