@@ -12,10 +12,14 @@ the transform Jacobian; no image-gradient term appears.
 
 A moving voxel's bin does not depend on the transform, so a caller that
 evaluates many transforms on one volume builds ``bin_index_table`` once; a
-sample then reads its neighbors' bins with one integer gather.  A sample
-keeps only its three per-axis weight vectors (and their derivatives), and
-the gradient is contracted against them axis by axis (as in Thevenaz &
-Unser, IEEE TIP 2000), so no draw is too large to keep between passes.
+sample reads its neighbors' bins with one integer gather, kept ((2a)^3, n),
+neighbor-major.  A sample keeps only its three per-axis weight vectors (and
+their derivatives), so no draw is too large to keep between passes.  Per
+block of samples, one ``np.bincount`` sums each sample's neighbor weights
+into its row of moving bins, and one (B, n) x (n, B) product with the fixed
+side's two-bin spread adds the rows to the histogram.  The gradient gathers
+each neighbor's cell derivative and contracts it against the weights axis
+by axis (as in Thevenaz & Unser, IEEE TIP 2000).
 
 The windowed sinc has negative lobes, so cells can go negative.  Mass is
 accumulated signed and log arguments are clamped at 1e-12, so a negative
@@ -80,21 +84,31 @@ def hann_sinc(t, radius: int, derivative: bool = True):
     weight(t) = sinc(t) * (0.5 + 0.5*cos(pi*t/radius)) for |t| < radius,
     0 outside; both weight and derivative are continuous at |t| = radius.
     With ``derivative=False`` only the weight is computed and returned.
+    Only sin x and cos x, x = pi*t/radius, are evaluated: sin(pi*t) and
+    cos(pi*t) follow by the double- and triple-angle identities.
     """
     if radius not in (1, 2, 3):
         raise ValueError(f"kernel radius must be 1, 2 or 3, got {radius}")
     t = np.asarray(t, dtype=np.float64)
+    x = (np.pi / radius) * t
+    s, c = np.sin(x), np.cos(x)
+    # sinc(t) = (sin x / x) * (1, cos x, or 1 - 4/3 sin^2 x)
+    sinc = np.divide(s, x, out=np.ones_like(x), where=x != 0)
+    if radius > 1:
+        sinc *= c if radius == 2 else 1.0 - (4.0 / 3.0) * s * s
     inside = np.abs(t) < radius
-    s = np.sinc(t)
-    win = 0.5 + 0.5 * np.cos(np.pi * t / radius)
-    w = np.where(inside, s * win, 0.0)
+    win = 0.5 + 0.5 * c
+    w = np.where(inside, sinc * win, 0.0)
     if not derivative:
         return w
-    small = np.abs(t) < 1e-8
-    safe_t = np.where(small, 1.0, t)
-    ds = np.where(small, -(np.pi**2) * t / 3.0, (np.cos(np.pi * t) - s) / safe_t)
-    dwin = -0.5 * (np.pi / radius) * np.sin(np.pi * t / radius)
-    dw = np.where(inside, ds * win + s * dwin, 0.0)
+    cos_pt = (c if radius == 1 else 1.0 - 2.0 * s * s if radius == 2
+              else c * (4.0 * c * c - 3.0))
+    # d sinc/dt = (cos(pi t) - sinc t) / t, or its series -pi^2 t / 3 where
+    # the difference cancels (|t| < 1e-4, truncation error below 4e-12)
+    ds = np.multiply(t, -np.pi**2 / 3.0, out=np.empty_like(t))
+    np.divide(cos_pt - sinc, t, out=ds, where=np.abs(t) >= 1e-4)
+    dwin = (-0.5 * np.pi / radius) * s
+    dw = np.where(inside, ds * win + sinc * dwin, 0.0)
     return w, dw
 
 
@@ -166,33 +180,36 @@ class _SampleGeometry:
         self.du = (dw / s - self.u * (dw.sum(axis=1, keepdims=True) / s)
                    if derivatives else None)
 
-        # (n, (2a)^3) neighbor bins; neighbor (i, j, k) is column (i*2a + j)*2a + k
+        # ((2a)^3, n) neighbor bins; neighbor (i, j, k) is row (i*2a + j)*2a + k,
+        # the order of the (2a, 2a, 2a, n) outer product of the axis weights
         nxm, nym, _ = moving.dims
         stencil = (offsets[:, None, None] + nxm * (offsets[:, None] + nym * offsets)).ravel()
         corner = base[:, 0] + nxm * (base[:, 1] + nym * base[:, 2])
-        self.moving_bins = bin_table[corner[:, None] + stencil]
+        self.moving_bins = bin_table[stencil[:, None] + corner]
 
         self.b0, self.b1, self.wf0, self.wf1 = _fixed_bin_spread(
             fixed.flat_values()[idx[ok]].astype(np.float64), *fixed_range, num_bins)
 
-    def _blocks(self):
-        """Slices of at most ``_BLOCK`` sample-neighbor pairs over the samples."""
-        step = max(1, _BLOCK // self.moving_bins.shape[1])
-        return [slice(a, a + step) for a in range(0, self.count, step)]
+    def _blocks(self, num_bins):
+        """Slices of at most ``_BLOCK`` sample-neighbor pairs over the samples,
+        each with its neighbors' cells in the block's (samples, B) bin rows."""
+        step = max(1, _BLOCK // self.moving_bins.shape[0])
+        for a in range(0, self.count, step):
+            mb = self.moving_bins[:, a : a + step]
+            yield slice(a, a + step), np.arange(mb.shape[1]) * num_bins + mb
 
-    def scatter_into(self, hist_flat: np.ndarray, num_bins: int) -> None:
-        # sides sum their mass in sample order from zero, as a bincount per chunk would
-        sides = np.zeros((2, hist_flat.size))
-        for blk in self._blocks():
+    def scatter_into(self, hist: np.ndarray, num_bins: int) -> None:
+        """Add the samples' mass to the (B, B) histogram, block by block."""
+        for blk, cells in self._blocks(num_bins):
             ux, uy, uz = self.u[:, :, blk]
             w3 = ux[:, None, None] * uy[None, :, None] * uz[None, None, :]
-            mb = self.moving_bins[blk]
-            w3 = w3.reshape(mb.shape[::-1])
-            for side, b, wf in zip(sides, (self.b0, self.b1), (self.wf0, self.wf1)):
-                cells = b[blk, None] * num_bins + mb
-                np.add.at(side, cells.ravel(), (wf[blk] * w3).T.ravel())
-        hist_flat += sides[0]
-        hist_flat += sides[1]
+            n = cells.shape[1]
+            rows = np.bincount(cells.ravel(), w3.ravel(), n * num_bins).reshape(n, num_bins)
+            fx = np.zeros_like(rows)
+            at = np.arange(n)
+            fx[at, self.b0[blk]] = self.wf0[blk]
+            fx[at, self.b1[blk]] += self.wf1[blk]
+            hist += fx.T @ rows
 
     def per_sample_gradients(self, dnmi: np.ndarray, params, spacing):
         """(n_retained, 6) metric-gradient contribution of each sample."""
@@ -200,9 +217,8 @@ class _SampleGeometry:
         rows = self.wf0[:, None] * dnmi[self.b0] + self.wf1[:, None] * dnmi[self.b1]
         k1 = self.u.shape[1]
         gc = np.empty((self.count, 3))
-        for blk in self._blocks():
-            coeff = np.take_along_axis(rows[blk], self.moving_bins[blk], axis=1)
-            coeff = coeff.T.reshape(k1, k1, k1, -1)
+        for blk, cells in self._blocks(len(dnmi)):
+            coeff = rows[blk].ravel()[cells].reshape(k1, k1, k1, -1)
             # d(metric)/d(moving voxel coordinate): contract z, then y, then x,
             # differentiating one axis's weights at a time
             ux, uy, uz = self.u[:, :, blk]
@@ -235,7 +251,7 @@ def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
     elif bin_table.shape != (moving.num_voxels,):
         raise ValueError(f"bin table holds {bin_table.size} voxels, not {moving.num_voxels}")
 
-    hist_flat = np.zeros(num_bins * num_bins)
+    bins = np.zeros((num_bins, num_bins))
     retained = 0
     chunks = []
     for start in range(0, idx.size, _CHUNK):
@@ -243,7 +259,7 @@ def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
             fixed, moving, params, idx[start : start + _CHUNK], num_bins,
             radius, fixed_range, bin_table, derivatives,
         )
-        geom.scatter_into(hist_flat, num_bins)
+        geom.scatter_into(bins, num_bins)
         retained += geom.count
         if derivatives:
             chunks.append(geom)
@@ -251,7 +267,6 @@ def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
         raise DegenerateHistogramError(
             f"all {idx.size} samples escaped the moving volume"
         )
-    bins = hist_flat.reshape(num_bins, num_bins)
     return JointHistogram(
         bins=bins,
         total_weight=float(bins.sum()),

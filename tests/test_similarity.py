@@ -97,6 +97,37 @@ def test_hann_sinc_rejects_unsupported_radius():
         similarity.hann_sinc(np.array([0.0]), 4)
 
 
+def literal_hann_sinc(t, a):
+    """The kernel's defining formula and its analytic t-derivative."""
+    inside = np.abs(t) < a
+    sinc = np.sinc(t)
+    win = 0.5 + 0.5 * np.cos(np.pi * t / a)
+    # d sinc/dt, by its Taylor series where the closed form cancels
+    far = np.abs(t) >= 1e-3
+    safe_t = np.where(far, t, 1.0)
+    dsinc = np.where(far, (np.cos(np.pi * t) - sinc) / safe_t,
+                     -(np.pi**2) * t / 3.0 + np.pi**4 * t**3 / 30.0)
+    dwin = -0.5 * (np.pi / a) * np.sin(np.pi * t / a)
+    return (np.where(inside, sinc * win, 0.0),
+            np.where(inside, dsinc * win + sinc * dwin, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(radius=st.sampled_from([1, 2, 3]),
+       drawn=st.lists(st.floats(-4.0, 4.0), max_size=40))
+def test_hann_sinc_matches_its_defining_formula(radius, drawn):
+    forced = [0.0, 1e-9, -1e-9, radius, -radius, *range(-4, 5)]
+    t = np.array(forced + drawn)
+    want_w, want_dw = literal_hann_sinc(t, radius)
+    w, dw = similarity.hann_sinc(t, radius)
+    np.testing.assert_array_equal(similarity.hann_sinc(t, radius, derivative=False), w)
+    np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-10)
+    outside = np.abs(t) >= radius
+    np.testing.assert_array_equal(w[outside], 0.0)
+    np.testing.assert_array_equal(dw[outside], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Histogram accumulation
 # ---------------------------------------------------------------------------
@@ -431,7 +462,7 @@ def test_draw_spanning_several_chunks(pair32, monkeypatch):
 
 
 def dense_reference(fixed, moving, params, idx, num_bins, radius):
-    """Gradient and curvature through materialised (n, 3, (2a)^3) kernel
+    """Gradient and curvature through materialised (3, (2a)^3, n) kernel
     derivative tensors, the contraction the separable one replaces."""
     hist, chunks = similarity._histogram_pass(
         fixed, moving, params, idx, num_bins, radius, None, None, None, True
@@ -445,15 +476,15 @@ def dense_reference(fixed, moving, params, idx, num_bins, radius):
         dux, duy, duz = g.du
 
         def outer(a, b, c):
-            return np.einsum("is,js,ks->sijk", a, b, c).reshape(g.moving_bins.shape)
+            return np.einsum("is,js,ks->ijks", a, b, c).reshape(g.moving_bins.shape)
 
         dweights = np.stack(
-            [outer(dux, uy, uz), outer(ux, duy, uz), outer(ux, uy, duz)], axis=1
+            [outer(dux, uy, uz), outer(ux, duy, uz), outer(ux, uy, duz)], axis=0
         )
-        cells0 = g.b0[:, None] * num_bins + g.moving_bins
-        cells1 = g.b1[:, None] * num_bins + g.moving_bins
-        coeff = g.wf0[:, None] * dnmi[cells0] + g.wf1[:, None] * dnmi[cells1]
-        gc = np.einsum("sk,sak->sa", coeff, dweights) / moving.spacing
+        cells0 = g.b0 * num_bins + g.moving_bins
+        cells1 = g.b1 * num_bins + g.moving_bins
+        coeff = g.wf0 * dnmi[cells0] + g.wf1 * dnmi[cells1]
+        gc = np.einsum("ks,aks->sa", coeff, dweights) / moving.spacing
         gs = np.einsum("sa,sak->sk", gc, transform.jacobian_many(params, g.points))
         gradient += gs.sum(axis=0)
         curvature += gs.T @ gs
@@ -580,3 +611,79 @@ def test_histogram_mass_is_the_retained_count(property_pair, t, r, rate, draw_se
     assert h.total_weight == pytest.approx(retained, rel=1e-9)
     ev = similarity.evaluate(fixed, moving, params, idx, num_bins, radius)
     assert ev.escaped == h.escaped and ev.sample_size == idx.size
+
+
+def reference_histogram(fixed, moving, params, idx, num_bins, radius):
+    """Joint histogram summed term by term with ``np.add.at``: every retained
+    sample adds, for each of its (2a)^3 neighbors and both fixed bins, the
+    fixed bin's linear share times the product of the neighbor's three
+    normalised ``hann_sinc`` weights, at (fixed bin, neighbor's moving bin)."""
+    c = (transform.apply_many(params, fixed.points_of_flat(idx)) - moving.origin)
+    c = c / moving.spacing
+    base = np.floor(c).astype(np.int64)
+    dims = np.array(moving.dims)
+    ok = np.all((base >= radius - 1) & (base <= dims - 1 - radius), axis=1)
+    base, frac = base[ok], c[ok] - base[ok]
+    offsets = np.arange(1 - radius, radius + 1)
+    weights = []
+    for axis in range(3):
+        w = similarity.hann_sinc(frac[:, axis, None] - offsets, radius, derivative=False)
+        weights.append(w / w.sum(axis=1, keepdims=True))
+
+    lo, hi = fixed.intensity_range
+    bc = (fixed.flat_values()[idx[ok]].astype(np.float64) - lo) * (num_bins / (hi - lo)) - 0.5
+    b0 = np.floor(bc).astype(np.int64)
+    fixed_sides = [(np.clip(b0, 0, num_bins - 1), 1.0 - (bc - b0)),
+                   (np.clip(b0 + 1, 0, num_bins - 1), bc - b0)]
+    mlo, mhi = moving.intensity_range
+    moving_bin = np.clip(np.floor((moving.data.astype(np.float64) - mlo)
+                                  * (num_bins / (mhi - mlo))), 0, num_bins - 1).astype(int)
+
+    ref = np.zeros((num_bins, num_bins))
+    for i, j, k in np.ndindex(2 * radius, 2 * radius, 2 * radius):
+        x, y, z = (base + offsets[[i, j, k]]).T
+        w = weights[0][:, i] * weights[1][:, j] * weights[2][:, k]
+        for fbin, share in fixed_sides:
+            np.add.at(ref, (fbin, moving_bin[x, y, z]), share * w)
+    return ref
+
+
+def assert_histogram_matches_reference(fixed, moving, params, idx, num_bins, radius):
+    ref = reference_histogram(fixed, moving, params, idx, num_bins, radius)
+    if not ref.any():
+        return
+    h = similarity.accumulate(fixed, moving, params, idx, num_bins, radius)
+    assert np.abs(h.bins - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.lists(st.floats(-12, 12), min_size=3, max_size=3),
+    r=st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3),
+    rate=st.floats(0.001, 0.05),
+    draw_seed=st.integers(0, 2**32 - 1),
+    radius=st.sampled_from([1, 2, 3]),
+    num_bins=st.sampled_from([8, 16, 33]),
+)
+def test_histogram_matches_a_term_by_term_reference(property_pair, t, r, rate, draw_seed,
+                                                    radius, num_bins):
+    fixed, moving = property_pair
+    params = transform.RigidParams(t=t, r=r, center=fixed.center_mm)
+    idx = np.flatnonzero(make_rng(draw_seed).random(fixed.num_voxels) < rate)
+    assert_histogram_matches_reference(fixed, moving, params, idx, num_bins, radius)
+
+
+@pytest.mark.parametrize("radius, block", [(1, 1000), (2, 1000), (3, 1000), (3, 100)])
+def test_histogram_over_several_chunks_and_blocks_matches_the_reference(
+        property_pair, monkeypatch, radius, block):
+    fixed, moving = property_pair
+    rng = make_rng(53, radius)
+    params = random_rigid_params(rng, fixed.center_mm)
+    idx = np.flatnonzero(rng.random(fixed.num_voxels) < 0.05)
+    monkeypatch.setattr(similarity, "_CHUNK", 300)
+    monkeypatch.setattr(similarity, "_BLOCK", block)
+    # several chunks, each of several blocks (one sample a block when
+    # _BLOCK is below the (2a)^3 neighbors of a sample)
+    assert idx.size > 3 * similarity._CHUNK
+    assert max(1, block // (2 * radius) ** 3) < similarity._CHUNK // 2
+    assert_histogram_matches_reference(fixed, moving, params, idx, 16, radius)
