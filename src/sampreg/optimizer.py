@@ -223,7 +223,7 @@ def optimize_level(
         try:
             ev = similarity.evaluate(
                 fixed, moving, params, idx, cfg.num_bins, cfg.kernel_radius,
-                fixed_range, moving_range, bin_table,
+                fixed_range, bin_table,
             )
         except similarity.DegenerateHistogramError as e:
             raise InitializationOutsideOverlapError(
@@ -240,7 +240,7 @@ def optimize_level(
         try:
             trial_value = similarity.metric_value(
                 fixed, moving, trial, idx, cfg.num_bins, cfg.kernel_radius,
-                fixed_range, moving_range, bin_table,
+                fixed_range, bin_table,
             )
         except similarity.DegenerateHistogramError:
             trial_value = -np.inf
@@ -364,7 +364,7 @@ def register(
     sampler (levels num_levels..stop_level).  Levels num_levels down to
     ``stop_level`` run, starting from ``init`` (None: the identity about
     the fixed volume's center).  Passing ``prepared`` skips pyramid
-    construction (it must describe the same fixed/moving pair), and
+    construction (it must be ``prepare`` of these very volume objects), and
     ``num_levels`` then picks the coarsest level of THAT pyramid: on a
     4-level pair, ``num_levels=3`` runs its levels 3..1, whose level 3 has
     a 2.52 mm spacing, not the 4 mm of a fresh 3-level pyramid.  Each level
@@ -373,6 +373,9 @@ def register(
     """
     if not 1 <= stop_level <= num_levels:
         raise ValueError("need 1 <= stop_level <= num_levels")
+    if prepared is not None and (prepared.fixed_pyramid.level(1) is not fixed
+                                 or prepared.moving_pyramid.level(1) is not moving):
+        raise ValueError("prepared was not built from this fixed/moving pair")
     if prepared is not None and num_levels > prepared.num_levels:
         raise ValueError(f"num_levels={num_levels} exceeds the prepared pair's "
                          f"{prepared.num_levels} levels")
@@ -382,8 +385,7 @@ def register(
         if missing:
             raise ValueError(f"mixed sampler needs a beta for levels {missing}")
     cfg = cfg or OptimizerConfig()
-    n_full = (fixed if prepared is None else prepared.fixed_pyramid.level(1)).num_voxels
-    m = sampler.budget(rate, n_full)
+    m = sampler.budget(rate, fixed.num_voxels)
 
     start = time.perf_counter()
     if prepared is None:

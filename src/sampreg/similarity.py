@@ -134,10 +134,10 @@ def bin_index_table(volume: Volume, value_range=None,
                     num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray:
     """Moving-side intensity bin of every voxel, flat in x-fastest order.
 
-    Bin edges span ``value_range`` (default: the volume's own range), as in
-    ``accumulate``.  The table is the smallest unsigned type that holds the
-    bins (uint8 up to 256) and is filled ``_BLOCK`` voxels at a time, so no
-    full-volume float64 copy is made.
+    Bin edges span ``value_range`` (default: the volume's own range).  The
+    table is the smallest unsigned type that holds the bins (uint8 up to
+    256) and is filled ``_BLOCK`` voxels at a time, so no full-volume
+    float64 copy is made.
     """
     lo, hi = value_range or volume.intensity_range
     values = volume.flat_values()
@@ -235,7 +235,7 @@ class _SampleGeometry:
 
 
 def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                    fixed_range, moving_range, bin_table, derivatives):
+                    fixed_range, bin_table, derivatives):
     """Joint histogram of the draw, and each chunk's geometry if ``derivatives``.
 
     The one pass behind ``accumulate``, ``metric_value`` and ``evaluate``.
@@ -247,7 +247,7 @@ def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
         raise ValueError("need at least 8 histogram bins")
     fixed_range = fixed_range or fixed.intensity_range
     if bin_table is None:
-        bin_table = bin_index_table(moving, moving_range, num_bins)
+        bin_table = bin_index_table(moving, num_bins=num_bins)
     elif bin_table.shape != (moving.num_voxels,):
         raise ValueError(f"bin table holds {bin_table.size} voxels, not {moving.num_voxels}")
 
@@ -283,20 +283,19 @@ def accumulate(
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
     fixed_range=None,
-    moving_range=None,
     bin_table=None,
 ) -> JointHistogram:
     """Partial-volume joint histogram over the sampled fixed voxels.
 
     Samples whose full kernel neighborhood leaves the moving volume are
-    dropped and counted in ``escaped``.  Bin edges span ``fixed_range`` /
-    ``moving_range`` (defaulting to each volume's own intensity range);
-    pass the full-resolution ranges so bins mean the same at every pyramid
-    level.  ``bin_table`` is the moving volume's ``bin_index_table`` for
-    the same range and bin count; it is built here when not given.
+    dropped and counted in ``escaped``.  Fixed bins span ``fixed_range``
+    (default: the fixed volume's own range); moving bins are ``bin_table``,
+    the moving volume's ``bin_index_table`` for ``num_bins`` (default: one
+    over the moving volume's own range).  Build both on the full-resolution
+    ranges so bins mean the same at every pyramid level.
     """
     return _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                           fixed_range, moving_range, bin_table, False)[0]
+                           fixed_range, bin_table, False)[0]
 
 
 def _clamped_plogp(p: np.ndarray) -> np.ndarray:
@@ -364,7 +363,6 @@ def evaluate(
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
     fixed_range=None,
-    moving_range=None,
     bin_table=None,
 ) -> MetricEvaluation:
     """Sampled NMI with analytic gradient and Gauss-Newton curvature.
@@ -379,7 +377,7 @@ def evaluate(
     ``accumulate``.
     """
     hist, chunks = _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                                   fixed_range, moving_range, bin_table, True)
+                                   fixed_range, bin_table, True)
     value, dnmi = _nmi_and_cell_derivative(hist)
     gradient = np.zeros(6)
     curvature = np.zeros((6, 6))
@@ -406,9 +404,8 @@ def metric_value(
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
     fixed_range=None,
-    moving_range=None,
     bin_table=None,
 ) -> float:
     """NMI only, without kernel derivatives: the cheap path for trial points."""
     return nmi(accumulate(fixed, moving, params, idx, num_bins, radius,
-                          fixed_range, moving_range, bin_table))
+                          fixed_range, bin_table))

@@ -47,7 +47,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -95,14 +95,10 @@ class TrainingPair:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Global-best particle swarm size and seed on the unit interval.
-
-    ``train_cascade`` seeds each level from its own ``seed`` instead, so
-    there ``seed`` has no effect."""
+    """Particle and iteration counts of a global-best swarm on [0, 1]."""
 
     particles: int = 10
     iterations: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.particles < 2:
@@ -180,8 +176,7 @@ def _pool_workers(batch: int) -> int:
 
 
 class _LevelRuns:
-    """Runs batches of level runs, in order, and counts them; ``reused``
-    counts the (candidate, pair, trial) scorings a run already made answered.
+    """Runs batches of level runs, in order.
 
     With ``workers`` > 1 the runs go to a fork-started process pool, whose
     workers inherit the (already prepared) pairs; otherwise they run here.
@@ -193,18 +188,11 @@ class _LevelRuns:
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=self._args,
         )
-        self.made = 0
-        self.failed = 0
-        self.reused = 0
 
     def __call__(self, runs: list) -> list:
         if self._pool is None:
-            results = [_level_run(*self._args, run) for run in runs]
-        else:
-            results = list(self._pool.map(_in_worker, runs))
-        self.made += len(runs)
-        self.failed += sum(est is None for est in results)
-        return results
+            return [_level_run(*self._args, run) for run in runs]
+        return list(self._pool.map(_in_worker, runs))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -251,7 +239,6 @@ def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas
         memo[beta] = [[None] * u_trials for _ in pairs]
         for i, trial in cells:
             memo[beta][i][trial] = next(results)
-    run_all.reused += (len(candidates) - len(fresh)) * len(cells)
     # a failed run is charged the full initialization error
     return [float(np.mean([
         etre_term(pair.gold, RigidParams.identity(pair.prepared.center) if est is None else est,
@@ -286,7 +273,7 @@ def objective_Q(
                         u_trials, frozen_betas, seed, num_levels, starts)[0]
 
 
-def pso_minimize(f, cfg: PsoConfig):
+def pso_minimize(f, cfg: PsoConfig, seed: int):
     """Global-best PSO on [0, 1]; returns (best_x, best_value, history).
 
     ``f`` takes one iteration's positions, an array of ``particles``
@@ -294,9 +281,10 @@ def pso_minimize(f, cfg: PsoConfig):
     global bests are then updated in particle order.  Initial positions are
     uniform on [0, 1] and count as the first iteration's evaluations, so f
     is called once per iteration and evaluates exactly
-    particles*iterations positions.  Deterministic under cfg.seed.
+    particles*iterations positions.  Deterministic under ``seed``; the
+    configuration holds no seed, and ``train_cascade`` derives one per level.
     """
-    rng = make_rng(cfg.seed, _PSO_STREAM)
+    rng = make_rng(seed, _PSO_STREAM)
     x = rng.random(cfg.particles)
     v = np.zeros(cfg.particles)
     pbest_x = x.copy()
@@ -355,8 +343,7 @@ def train_cascade(
     usable CPU, at most one per run of a swarm iteration (see the module
     notes).
 
-    Each level's swarm is seeded from ``seed`` and the level, so
-    ``pso_cfg.seed`` has no effect here.
+    Each level's swarm is seeded from ``seed`` and the level.
     """
     pairs = list(pairs)
     if not pairs:
@@ -371,15 +358,17 @@ def train_cascade(
     try:
         for r in range(num_levels, 0, -1):
             start = time.perf_counter()
-            made, failed, reused = run_all.made, run_all.failed, run_all.reused
-            frozen, memo = dict(betas), {}
+            memo = {}
 
-            def objective(positions, _level=r, _frozen=frozen, _starts=starts, _memo=memo):
-                return _candidate_q(run_all, _memo, _level, positions, pairs, u_trials,
-                                    _frozen, seed, num_levels, _starts)
+            # pso_minimize returns before r, starts, memo or betas change
+            def objective(positions):
+                return _candidate_q(run_all, memo, r, positions, pairs, u_trials,
+                                    betas, seed, num_levels, starts)
 
-            level_cfg = replace(pso_cfg, seed=derive_seed(seed, _PSO_STREAM, r))
-            best_beta, best_q, history = pso_minimize(objective, level_cfg)
+            best_beta, best_q, history = pso_minimize(
+                objective, pso_cfg, derive_seed(seed, _PSO_STREAM, r))
+            cells = _cells(len(pairs), u_trials, starts)
+            runs = len(memo) * len(cells)
             betas[r] = float(best_beta)
             # level r is frozen: the next finer level starts from the winner's runs
             if betas[r] not in memo:
@@ -391,9 +380,9 @@ def train_cascade(
                 "beta": betas[r],
                 "best_q_mm2": best_q,
                 "history": history,
-                "runs": run_all.made - made,
-                "failed": run_all.failed - failed,
-                "reused": run_all.reused - reused,
+                "runs": runs,
+                "failed": sum(row[i][trial] is None for row in memo.values() for i, trial in cells),
+                "reused": pso_cfg.particles * pso_cfg.iterations * len(cells) - runs,
                 "elapsed_s": time.perf_counter() - start,
             })
     finally:

@@ -56,7 +56,7 @@ def manifest64():
 def trained64(manifest64):
     """Mixture weights learned on the 64-cube manifest at the 0.05% rate."""
     t0 = time.perf_counter()
-    pso = PsoConfig(particles=5, iterations=4, seed=0)
+    pso = PsoConfig(particles=5, iterations=4)
     betas, report = training.train_cascade(manifest64, 2, pso, SUITE_CFG, 0.0005, 0)
     return betas, report, time.perf_counter() - t0
 
@@ -223,9 +223,7 @@ def test_06_speed_scaling(criterion, suite96):
 
 def test_07_pso_quadratic(criterion):
     t0 = time.perf_counter()
-    best_x, _, history = training.pso_minimize(
-        lambda b: (b - 0.3) ** 2, PsoConfig(particles=10, iterations=20, seed=0)
-    )
+    best_x, _, history = training.pso_minimize(lambda b: (b - 0.3) ** 2, PsoConfig(10, 20), 0)
     vals = [row["best_value"] for row in history]
     mono = all(b <= a for a, b in zip(vals, vals[1:]))
     dt = time.perf_counter() - t0

@@ -219,6 +219,15 @@ def test_register_validates_arguments(pair32):
                            prepared=prepared)
 
 
+def test_register_refuses_a_pair_other_than_the_prepared_one(pair32):
+    # a copy holds the same voxels but is not the volume the pyramids hold
+    fixed, moving, _ = pair32
+    prepared = optimizer.prepare(fixed, moving)
+    for volumes in ((copy.copy(fixed), moving), (fixed, copy.copy(moving))):
+        with pytest.raises(ValueError, match="not built from this fixed/moving pair"):
+            optimizer.register(*volumes, sampler_kind="urs", prepared=prepared)
+
+
 def test_register_recovers_translation(pair32):
     fixed, _, _ = pair32
     gold = transform.RigidParams(t=(4.0, 0, 0), center=fixed.center_mm)

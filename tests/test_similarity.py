@@ -184,12 +184,12 @@ def test_integer_shift_of_periodic_pattern_reproduces_histogram():
     shift = transform.RigidParams(t=(1.0, 0, 0), center=fixed.center_mm)
     f_range = fixed.intensity_range
     h_ref = similarity.accumulate(
-        fixed, fixed, ident, idx, num_bins=16,
-        fixed_range=f_range, moving_range=f_range,
+        fixed, fixed, ident, idx, num_bins=16, fixed_range=f_range,
+        bin_table=similarity.bin_index_table(fixed, f_range, 16),
     )
     h_shift = similarity.accumulate(
-        fixed, moving, shift, idx, num_bins=16,
-        fixed_range=f_range, moving_range=f_range,
+        fixed, moving, shift, idx, num_bins=16, fixed_range=f_range,
+        bin_table=similarity.bin_index_table(moving, f_range, 16),
     )
     np.testing.assert_allclose(h_shift.bins, h_ref.bins, atol=1e-9)
 
@@ -465,7 +465,7 @@ def dense_reference(fixed, moving, params, idx, num_bins, radius):
     """Gradient and curvature through materialised (3, (2a)^3, n) kernel
     derivative tensors, the contraction the separable one replaces."""
     hist, chunks = similarity._histogram_pass(
-        fixed, moving, params, idx, num_bins, radius, None, None, None, True
+        fixed, moving, params, idx, num_bins, radius, None, None, True
     )
     _, dnmi = similarity._nmi_and_cell_derivative(hist)
     dnmi = dnmi.ravel()

@@ -96,6 +96,8 @@ def test_pso_config_validation():
         PsoConfig(iterations=0)
     cfg = PsoConfig()
     assert (cfg.particles, cfg.iterations) == (10, 20)
+    with pytest.raises(TypeError):
+        PsoConfig(seed=0)  # the seed is pso_minimize's argument
     assert (training._INERTIA, training._COGNITIVE, training._SOCIAL) == (0.7, 1.5, 1.5)
     assert training._VELOCITY_CLAMP == 0.5
 
@@ -236,7 +238,7 @@ def test_objective_charges_initialization_error_on_empty_draws(monkeypatch):
 
 def test_pso_finds_quadratic_minimum():
     best_x, best_val, history = training.pso_minimize(
-        lambda b: (b - 0.3) ** 2, PsoConfig(particles=10, iterations=20, seed=1)
+        lambda b: (b - 0.3) ** 2, PsoConfig(particles=10, iterations=20), 1
     )
     assert abs(best_x - 0.3) <= 0.01
     assert best_val <= 1e-4
@@ -252,14 +254,13 @@ def test_pso_evaluation_budget_is_exact():
         count[0] += len(b)
         return b * b
 
-    cfg = PsoConfig(particles=7, iterations=9, seed=2)
-    training.pso_minimize(f, cfg)
+    training.pso_minimize(f, PsoConfig(particles=7, iterations=9), 2)
     assert count[0] == 7 * 9
 
 
 def test_pso_respects_bounds():
     best_x, _, history = training.pso_minimize(
-        lambda b: -b, PsoConfig(particles=8, iterations=15, seed=3)
+        lambda b: -b, PsoConfig(particles=8, iterations=15), 3
     )
     assert 0.0 <= best_x <= 1.0
     assert best_x >= 0.99  # minimum of -b sits at the upper bound
@@ -267,16 +268,16 @@ def test_pso_respects_bounds():
 
 def test_pso_is_seed_deterministic():
     f = lambda b: np.sin(13 * b) + b * b
-    a = training.pso_minimize(f, PsoConfig(particles=6, iterations=10, seed=4))
-    b = training.pso_minimize(f, PsoConfig(particles=6, iterations=10, seed=4))
+    a = training.pso_minimize(f, PsoConfig(particles=6, iterations=10), 4)
+    b = training.pso_minimize(f, PsoConfig(particles=6, iterations=10), 4)
     assert a == b
-    c = training.pso_minimize(f, PsoConfig(particles=6, iterations=10, seed=5))
+    c = training.pso_minimize(f, PsoConfig(particles=6, iterations=10), 5)
     assert c[0] != a[0] or c[1] != a[1]
 
 
 def test_pso_handles_constant_objective():
     best_x, best_val, history = training.pso_minimize(
-        lambda b: np.ones_like(b), PsoConfig(particles=4, iterations=5, seed=6)
+        lambda b: np.ones_like(b), PsoConfig(particles=4, iterations=5), 6
     )
     assert best_val == 1.0
     assert 0.0 <= best_x <= 1.0
@@ -289,10 +290,10 @@ def test_pso_scores_each_iteration_as_one_batch():
         batches.append(b)
         return b * b
 
-    training.pso_minimize(f, PsoConfig(particles=3, iterations=4, seed=7))
+    training.pso_minimize(f, PsoConfig(particles=3, iterations=4), 7)
     assert [b.shape for b in batches] == [(3,)] * 4
     with pytest.raises(ValueError, match="shape"):
-        training.pso_minimize(lambda b: 1.0, PsoConfig(particles=3, iterations=1))
+        training.pso_minimize(lambda b: 1.0, PsoConfig(particles=3, iterations=1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,7 @@ def test_train_cascade_budget_and_freezing(monkeypatch):
         return est
 
     install_register_stub(monkeypatch, calls, est_factory)
-    pso_cfg = PsoConfig(particles=3, iterations=2, seed=0)
+    pso_cfg = PsoConfig(particles=3, iterations=2)
     betas, report = training.train_cascade(
         pairs, u_trials=2, pso_cfg=pso_cfg,
         opt_cfg=optimizer.OptimizerConfig(num_bins=24, kernel_radius=3),
@@ -418,11 +419,11 @@ def test_train_cascade_answers_repeated_positions_from_its_runs(monkeypatch):
 
     real_pso = training.pso_minimize
 
-    def recording_pso(f, cfg):
+    def recording_pso(f, cfg, seed):
         def recorded(positions):
             batches.append(positions.tolist())
             return f(positions)
-        return real_pso(recorded, cfg)
+        return real_pso(recorded, cfg, seed)
 
     use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "register", stub)
