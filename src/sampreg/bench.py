@@ -18,16 +18,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from sampreg import optimizer, sampler, transform
+from sampreg import optimizer, sampler, training, transform
 from sampreg.rng import derive_seed, make_rng
 from sampreg.sampler import SamplingDistribution
-from sampreg.training import TrainingPair
 from sampreg.transform import RigidParams
 from sampreg.volume import Volume, save_volume, trilinear_many
 
@@ -185,21 +183,6 @@ def evaluate_case(
     )
 
 
-def _failed_outcome(pair_id, sampler_kind, rate, trial_seed, n_points, elapsed_s,
-                    error: ValueError):
-    """Outcome for a trial whose registration raised: infinite error."""
-    return CaseOutcome(
-        pair_id=pair_id,
-        sampler_kind=sampler_kind,
-        rate=rate,
-        trial_seed=trial_seed,
-        tre_per_point=(math.inf,) * n_points,
-        failed=True,
-        elapsed_s=elapsed_s,
-        error=f"{type(error).__name__}: {error}",
-    )
-
-
 def trimmed_mtre(outcomes) -> float | None:
     """Mean of mean-TRE over non-failed outcomes; None when all failed."""
     kept = [o.mean_tre for o in outcomes if not o.failed]
@@ -223,11 +206,16 @@ def sweep(
 
     ``pairs`` is a sequence of (pair_id, TrainingPair).  Trial seeds derive
     from (seed, pair, trial) only, so every sampler and rate is scored on
-    the same draw sequence.  A case whose registration raises a
-    ``ValueError`` (every engine error is one) becomes a failed outcome that
-    records the error; any other exception is a programming error and
-    propagates.  Returns {"outcomes", "aggregates"} with
-    aggregates ordered by the given sampler then rate order.
+    the same draw sequence.  Each pair is prepared once, at ``num_levels``,
+    and the cases run as one batch of ``training.Registrations``: on a
+    process pool with one worker per usable CPU, or in-process on one CPU or
+    while other threads run.  A case depends only on its own arguments and
+    outcomes keep case order, so they are bit for bit the same whatever the
+    CPU count; only ``elapsed_s``, each case's wall time, differs.  A case
+    whose registration raises a ``ValueError`` (every engine error is one)
+    becomes a failed outcome that records the error; any other exception is
+    a programming error and propagates.  Returns {"outcomes", "aggregates"}
+    with aggregates ordered by the given sampler then rate order.
     """
     pairs = list(pairs)
     if trials < 1:
@@ -235,34 +223,27 @@ def sweep(
     for kind in sampler_kinds:
         if kind == "mixed" and betas is None:
             raise ValueError("mixed sampler in a sweep requires betas")
+    runs = [
+        (i, dict(sampler_kind=kind, betas=betas if kind == "mixed" else None, rate=rate,
+                 seed=derive_seed(seed, _CASE_STREAM, i, trial), num_levels=num_levels))
+        for i in range(len(pairs)) for kind in sampler_kinds for rate in rates
+        for trial in range(trials)
+    ]
+    with training.Registrations([pair for _, pair in pairs], num_levels,
+                                cfg, (ValueError,), len(runs)) as run_all:
+        results = run_all(runs)
     outcomes = []
-    for pair_index, (pair_id, pair) in enumerate(pairs):
-        prepared = pair.prepared
-        for kind in sampler_kinds:
-            kind_betas = betas if kind == "mixed" else None
-            for rate in rates:
-                for trial in range(trials):
-                    trial_seed = derive_seed(seed, _CASE_STREAM, pair_index, trial)
-                    start = time.perf_counter()
-                    try:
-                        result = optimizer.register(
-                            pair.fixed, pair.moving,
-                            sampler_kind=kind, betas=kind_betas, rate=rate,
-                            cfg=cfg, seed=trial_seed,
-                            num_levels=num_levels, prepared=prepared,
-                        )
-                        outcomes.append(evaluate_case(
-                            result.final_params, pair.gold, pair.probe_points,
-                            pair_id=pair_id, sampler_kind=kind, rate=rate,
-                            trial_seed=trial_seed, elapsed_s=result.elapsed_s,
-                            threshold_mm=threshold_mm,
-                        ))
-                    except ValueError as e:
-                        outcomes.append(_failed_outcome(
-                            pair_id, kind, rate, trial_seed,
-                            len(pair.probe_points),
-                            time.perf_counter() - start, e,
-                        ))
+    for (i, case), (est, elapsed_s) in zip(runs, results):
+        pair_id, pair = pairs[i]
+        scored = dict(pair_id=pair_id, sampler_kind=case["sampler_kind"], rate=case["rate"],
+                      trial_seed=case["seed"], elapsed_s=elapsed_s)
+        if isinstance(est, ValueError):  # registration raised: infinite error
+            outcomes.append(CaseOutcome(
+                tre_per_point=(math.inf,) * len(pair.probe_points), failed=True,
+                error=f"{type(est).__name__}: {est}", **scored))
+        else:
+            outcomes.append(evaluate_case(est, pair.gold, pair.probe_points,
+                                          threshold_mm=threshold_mm, **scored))
     aggregates = aggregate(outcomes, sampler_kinds, rates)
     return {"outcomes": outcomes, "aggregates": aggregates}
 

@@ -30,14 +30,16 @@ own stream, in line.
 
 Once a swarm iteration's positions are fixed its particles are independent,
 so ``pso_minimize`` scores them as one batch (the synchronous parallel PSO
-of Schutte et al., 2004), and ``train_cascade`` sends each batch of level
-runs to one process pool that lives for the call.  The pool forks one
-worker per CPU this process may run on, at most one per run of a batch;
-forking lets the workers share the pairs' prepared pyramids instead of
+of Schutte et al., 2004).  ``Registrations`` runs such batches, for
+``train_cascade``, ``objective_Q`` and ``bench.sweep`` alike.  It prepares
+each pair once, at the depth the run was given, so a level-r run registers
+on the grids ``register`` uses at that depth.  It then forks a process pool
+with one worker per CPU this process may run on, at most one per run of a
+batch; forking lets the workers share the prepared pyramids instead of
 unpickling a copy each.  Results come back in submission order and each run
-depends only on its (pair, trial, weights, start estimate), so outputs are
-bit for bit those of running in-process, which is what happens on one CPU
-or while other threads run.
+depends only on its own arguments, so outputs are bit for bit those of
+running in-process, which is what happens on one CPU or while other threads
+run.
 """
 
 from __future__ import annotations
@@ -88,10 +90,6 @@ class TrainingPair:
     def probe_points(self) -> np.ndarray:
         return default_probe_points(self.fixed)
 
-    @cached_property
-    def prepared(self) -> optimizer.PreparedPair:
-        return optimizer.prepare(self.fixed, self.moving)
-
 
 @dataclass(frozen=True)
 class PsoConfig:
@@ -119,13 +117,6 @@ def etre_term(gold: RigidParams, est: RigidParams, pts) -> float:
     return float(np.mean(np.sum(d * d, axis=1)))
 
 
-def _prepared(pair: TrainingPair, i: int) -> optimizer.PreparedPair:
-    try:
-        return pair.prepared
-    except Exception as e:
-        raise type(e)(f"pair {i}: {e}") from e
-
-
 # Engine errors that charge a run the identity's error instead of raising.
 _CHARGED = (optimizer.InitializationOutsideOverlapError, optimizer.EmptyDrawError)
 
@@ -135,21 +126,19 @@ def _trial_seed(seed: int, i: int, trial: int) -> int:
     return derive_seed(seed, _TRIAL_STREAM, i, trial)
 
 
-def _level_run(pairs, opt_cfg, rate, run):
-    """Estimate of one level run, None where it fails with a charged error."""
-    i, run_seed, betas, num_levels, level, init = run
-    pair = pairs[i]
+def _run(pairs, prepared, cfg, charged, run):
+    """One run of a ``Registrations`` batch."""
+    i, kwargs = run
+    start = time.perf_counter()
     try:
-        return optimizer.register(
-            pair.fixed, pair.moving, sampler_kind="mixed", betas=betas,
-            rate=rate, cfg=opt_cfg, seed=run_seed, num_levels=num_levels,
-            stop_level=level, prepared=_prepared(pair, i), init=init,
-        ).final_params
-    except _CHARGED:
-        return None
+        out = optimizer.register(pairs[i].fixed, pairs[i].moving, cfg=cfg,
+                                 prepared=prepared[i], **kwargs).final_params
+    except charged as e:
+        out = e
+    return out, time.perf_counter() - start
 
 
-# (pairs, opt_cfg, rate) in a pool worker, set by _start_worker; None elsewhere.
+# (pairs, prepared, cfg, charged) in a pool worker, set by _start_worker; None elsewhere.
 _worker_args = None
 
 
@@ -159,7 +148,7 @@ def _start_worker(*args):
 
 
 def _in_worker(run):
-    return _level_run(*_worker_args, run)
+    return _run(*_worker_args, run)
 
 
 def _pool_workers(batch: int) -> int:
@@ -175,15 +164,29 @@ def _pool_workers(batch: int) -> int:
     return min(len(affinity(0)), batch)
 
 
-class _LevelRuns:
-    """Runs batches of level runs, in order.
+class Registrations:
+    """Batches of ``register`` calls on pairs prepared once, in order.
 
-    With ``workers`` > 1 the runs go to a fork-started process pool, whose
-    workers inherit the (already prepared) pairs; otherwise they run here.
+    Each pair is prepared at ``num_levels`` first, and a pair that cannot be
+    is named by its index.  A run is (pair index, keyword arguments of
+    ``register`` other than ``cfg`` and ``prepared``); a batch returns one
+    (final params, seconds) per run, with the error in place of the params
+    where registration raised one of ``charged``.  Any other error
+    propagates.  With batches of up to ``batch`` runs, ``_pool_workers``
+    decides whether the runs go to a fork-started process pool, whose
+    workers inherit the prepared pairs, or run here.  Use it as a context
+    manager, which shuts the pool down.
     """
 
-    def __init__(self, pairs, opt_cfg, rate, workers=1):
-        self._args = (pairs, opt_cfg, rate)
+    def __init__(self, pairs, num_levels: int, cfg, charged, batch: int = 1):
+        prepared = []
+        for i, pair in enumerate(pairs):
+            try:
+                prepared.append(optimizer.prepare(pair.fixed, pair.moving, num_levels))
+            except Exception as e:
+                raise type(e)(f"pair {i}: {e}") from e
+        self._args = (pairs, prepared, cfg, charged)
+        workers = _pool_workers(batch)
         self._pool = None if workers <= 1 else ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=self._args,
@@ -191,10 +194,13 @@ class _LevelRuns:
 
     def __call__(self, runs: list) -> list:
         if self._pool is None:
-            return [_level_run(*self._args, run) for run in runs]
+            return [_run(*self._args, run) for run in runs]
         return list(self._pool.map(_in_worker, runs))
 
-    def close(self) -> None:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
 
@@ -205,8 +211,8 @@ def _cells(num_pairs: int, u_trials: int, starts) -> list:
             if starts is None or starts[i][trial] is not None]
 
 
-def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas, seed,
-                 num_levels, starts) -> list:
+def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas, rate,
+                 seed, num_levels, starts) -> list:
     """Mean ETRE of each candidate weight at ``level`` (see ``objective_Q``).
 
     ``memo`` maps each weight already run at this level, from these frozen
@@ -229,19 +235,21 @@ def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas
     cells = _cells(len(pairs), u_trials, starts)
     fresh = [beta for beta in dict.fromkeys(map(float, candidates)) if beta not in memo]
     runs = [
-        (i, _trial_seed(seed, i, trial), {**frozen, level: beta},
-         num_levels if starts is None else level, level,
-         None if starts is None else starts[i][trial])
+        (i, dict(sampler_kind="mixed", betas={**frozen, level: beta}, rate=rate,
+                 seed=_trial_seed(seed, i, trial),
+                 num_levels=num_levels if starts is None else level, stop_level=level,
+                 init=None if starts is None else starts[i][trial]))
         for beta in fresh for i, trial in cells
     ]
     results = iter(run_all(runs))
     for beta in fresh:
         memo[beta] = [[None] * u_trials for _ in pairs]
         for i, trial in cells:
-            memo[beta][i][trial] = next(results)
+            est, _ = next(results)
+            memo[beta][i][trial] = None if isinstance(est, _CHARGED) else est
     # a failed run is charged the full initialization error
     return [float(np.mean([
-        etre_term(pair.gold, RigidParams.identity(pair.prepared.center) if est is None else est,
+        etre_term(pair.gold, RigidParams.identity(pair.fixed.center_mm) if est is None else est,
                   pair.probe_points)
         for pair, row in zip(pairs, memo[float(beta)]) for est in row
     ])) for beta in candidates]
@@ -265,12 +273,13 @@ def objective_Q(
     is used at ``level`` itself and the cascade stops there.  Given
     ``starts``, the frozen level-(level+1) estimates per pair and trial
     (None where that run failed), level ``level`` runs alone from them.
-    Runs happen in this process, afresh on every call: the reference that
-    ``train_cascade`` must match.
+    Each call prepares the pairs at ``num_levels`` and makes its runs in
+    this process, afresh: the reference that ``train_cascade`` must match.
     """
     pairs = list(pairs)
-    return _candidate_q(_LevelRuns(pairs, opt_cfg, rate), {}, level, [beta], pairs,
-                        u_trials, frozen_betas, seed, num_levels, starts)[0]
+    with Registrations(pairs, num_levels, opt_cfg, _CHARGED) as run_all:
+        return _candidate_q(run_all, {}, level, [beta], pairs, u_trials, frozen_betas,
+                            rate, seed, num_levels, starts)[0]
 
 
 def pso_minimize(f, cfg: PsoConfig, seed: int):
@@ -339,23 +348,20 @@ def train_cascade(
     identity's error (``failed``), how many (candidate, pair, trial)
     scorings a run already made at that level answered (``reused``) and
     the level's wall time (``elapsed_s``), plus the settings needed to
-    reproduce the run.  Level runs go to a process pool with one worker per
-    usable CPU, at most one per run of a swarm iteration (see the module
-    notes).
+    reproduce the run.  The pairs are prepared once, at ``num_levels``, and
+    level runs go to a process pool with one worker per usable CPU, at most
+    one per run of a swarm iteration (see the module notes).
 
     Each level's swarm is seeded from ``seed`` and the level.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one training pair")
-    for i, pair in enumerate(pairs):
-        _prepared(pair, i)  # before the pool starts, so its workers inherit them
-    run_all = _LevelRuns(pairs, opt_cfg, rate,
-                         _pool_workers(pso_cfg.particles * len(pairs) * u_trials))
     betas: dict = {}
     report_levels = []
     starts = None
-    try:
+    with Registrations(pairs, num_levels, opt_cfg, _CHARGED,
+                       pso_cfg.particles * len(pairs) * u_trials) as run_all:
         for r in range(num_levels, 0, -1):
             start = time.perf_counter()
             memo = {}
@@ -363,7 +369,7 @@ def train_cascade(
             # pso_minimize returns before r, starts, memo or betas change
             def objective(positions):
                 return _candidate_q(run_all, memo, r, positions, pairs, u_trials,
-                                    betas, seed, num_levels, starts)
+                                    betas, rate, seed, num_levels, starts)
 
             best_beta, best_q, history = pso_minimize(
                 objective, pso_cfg, derive_seed(seed, _PSO_STREAM, r))
@@ -385,8 +391,6 @@ def train_cascade(
                 "reused": pso_cfg.particles * pso_cfg.iterations * len(cells) - runs,
                 "elapsed_s": time.perf_counter() - start,
             })
-    finally:
-        run_all.close()
     report = {
         "levels": report_levels,
         "rate": rate,

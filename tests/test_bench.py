@@ -1,11 +1,20 @@
-"""Phantom generation, case scoring, sweep bookkeeping and CSV contracts."""
+"""Phantom generation, case scoring, sweep bookkeeping and CSV contracts.
+
+A stub's call log only sees runs made in the test's own process, so sweep
+tests that read one pin a single CPU with ``use_cpus``.
+"""
 
 import csv
+import dataclasses
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+
+from test_training import use_cpus
 
 from sampreg import bench, optimizer, sampler, volume
 from sampreg.rng import make_rng
@@ -186,9 +195,8 @@ def stub_pairs():
 
 
 class StubResult:
-    def __init__(self, params, elapsed_s=0.001):
+    def __init__(self, params):
         self.final_params = params
-        self.elapsed_s = elapsed_s
 
 
 def test_sweep_counts_and_common_seeds(monkeypatch):
@@ -203,6 +211,7 @@ def test_sweep_counts_and_common_seeds(monkeypatch):
         histograms.add((cfg.num_bins, cfg.kernel_radius))
         return StubResult(RigidParams(t=(1.0, 0, 0), center=center))
 
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "register", stub)
     out = bench.sweep(
         pairs, ["urs", "gms"], [0.001, 0.01], trials=3, seed=5,
@@ -227,6 +236,7 @@ def test_sweep_records_raised_cases_as_failures(monkeypatch):
     def stub(*args, **kwargs):
         raise optimizer.InitializationOutsideOverlapError("boom")
 
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "register", stub)
     out = bench.sweep(pairs, ["urs"], [0.001], trials=2, seed=1)
     assert len(out["outcomes"]) == 2 * 1 * 1 * 2
@@ -242,6 +252,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     def stub(*args, **kwargs):
         raise TypeError("register() got an unexpected keyword argument")
 
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(optimizer, "register", stub)
     with pytest.raises(TypeError, match="unexpected keyword"):
         bench.sweep(stub_pairs(), ["urs"], [0.001], trials=1, seed=1)
@@ -253,6 +264,95 @@ def test_sweep_validates_inputs():
         bench.sweep(pairs, ["urs"], [0.01], trials=0)
     with pytest.raises(ValueError, match="betas"):
         bench.sweep(pairs, ["mixed"], [0.01], trials=1)
+
+
+def untimed(outcomes):
+    return [dataclasses.replace(o, elapsed_s=0.0) for o in outcomes]
+
+
+def logging_register(monkeypatch, log):
+    """Wrap registration to note which process made each run."""
+    real = optimizer.register
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "register", logged)
+
+
+def test_sweep_pool_matches_in_process_bit_for_bit(pair32, monkeypatch, tmp_path):
+    fixed, moving, gold = pair32
+    log = tmp_path / "pids"
+    logging_register(monkeypatch, log)
+    out, pids = {}, {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        pairs = [(f"pair{i}", TrainingPair(fixed=fixed, moving=moving, gold=gold))
+                 for i in range(2)]
+        out[cpus] = bench.sweep(
+            pairs, ["urs", "mixed"], [0.005, 0.02], trials=2, seed=3,
+            cfg=optimizer.OptimizerConfig(max_iters=3), betas={1: 0.3, 2: 0.6, 3: 0.8},
+            num_levels=3,
+        )
+        pids[cpus] = log.read_text().split()
+        log.unlink()
+    me = str(os.getpid())
+    assert pids[1] == [me] * 2 * 2 * 2 * 2
+    assert len(pids[2]) == 2 * 2 * 2 * 2
+    assert me not in pids[2] and len(set(pids[2])) <= 2
+    assert untimed(out[1]["outcomes"]) == untimed(out[2]["outcomes"])
+    assert all(o.error is None for o in out[2]["outcomes"])
+    drop = lambda rows: [{k: v for k, v in row.items() if k != "median_time_ms"} for row in rows]
+    assert drop(out[1]["aggregates"]) == drop(out[2]["aggregates"])
+
+
+def test_sweep_records_a_worker_engine_error_as_in_process(pair32, monkeypatch, tmp_path):
+    fixed, moving, gold = pair32
+    log = tmp_path / "pids"
+    logging_register(monkeypatch, log)
+    errors = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        pairs = [("pair0", TrainingPair(fixed=fixed, moving=moving, gold=gold))]
+        # register itself refuses a mixed run without a weight for level 2
+        out = bench.sweep(pairs, ["mixed"], [0.01], trials=2, seed=1,
+                          betas={1: 0.5}, num_levels=2)
+        errors[cpus] = [o.error for o in out["outcomes"]]
+        assert all(o.failed and math.isinf(o.max_tre) for o in out["outcomes"])
+        assert (set(log.read_text().split()) == {str(os.getpid())}) == (cpus == 1)
+        log.unlink()
+    assert errors[1] == errors[2] == [
+        "ValueError: mixed sampler needs a beta for levels [2]"] * 2
+
+
+def test_sweep_worker_error_propagates_and_leaves_no_process(monkeypatch):
+    def stub(*args, **kwargs):
+        raise RuntimeError("not an engine error")
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(optimizer, "register", stub)
+    with pytest.raises(RuntimeError, match="not an engine error"):
+        bench.sweep(stub_pairs(), ["urs"], [0.001], trials=2, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_prepares_pairs_at_its_own_depth(pair32):
+    fixed, moving, gold = pair32
+    out = bench.sweep([("pair0", TrainingPair(fixed=fixed, moving=moving, gold=gold))],
+                      ["urs"], [0.01], trials=2, seed=2,
+                      cfg=optimizer.OptimizerConfig(max_iters=2), num_levels=5)
+    # a 4-level pair would refuse num_levels=5 in every case
+    assert [o.error for o in out["outcomes"]] == [None, None]
+
+
+def test_sweep_names_a_pair_it_cannot_prepare():
+    pairs = stub_pairs()
+    coarse = Volume(data=pairs[1][1].fixed.data, spacing=(2, 2, 2))
+    pairs[1] = ("pair1", TrainingPair(fixed=coarse, moving=coarse, gold=pairs[1][1].gold))
+    with pytest.raises(ValueError, match="^pair 1: fixed volume must be resampled"):
+        bench.sweep(pairs, ["urs"], [0.01], trials=1)
 
 
 def test_aggregate_arithmetic():

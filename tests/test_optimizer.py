@@ -481,7 +481,7 @@ def test_register_converges_at_low_rate_with_defaults():
     identity = transform.RigidParams.identity(pair.fixed.center_mm)
     start = bench.evaluate_case(identity, pair.gold, pair.probe_points).max_tre
     assert start == pytest.approx(8.86, abs=0.01)
-    prepared = pair.prepared
+    prepared = optimizer.prepare(pair.fixed, pair.moving)
     for kind in ("urs", "gms", "mixed"):
         betas = {r: 0.5 for r in range(1, 5)} if kind == "mixed" else None
         tres = []
@@ -502,7 +502,7 @@ def test_converged_finest_level_stops_as_stationary():
     pair = manifest64_pair(0)
     result = optimizer.register(
         pair.fixed, pair.moving, sampler_kind="urs", rate=0.01,
-        cfg=SUITE_CFG, seed=1, prepared=pair.prepared,
+        cfg=SUITE_CFG, seed=1, prepared=optimizer.prepare(pair.fixed, pair.moving),
     )
     finest = result.levels[-1]
     assert finest["termination"] == "stationary"

@@ -500,7 +500,8 @@ def test_train_cascade_makes_each_level_run_once_per_call(pair32, monkeypatch):
         num_levels=3,
     )
     first = training.train_cascade(pairs, **settings)
-    dims = {r: pairs[0].prepared.fixed_pyramid.level(r).dims for r in (1, 2, 3)}
+    dims = {r: optimizer.prepare(fixed, moving, 3).fixed_pyramid.level(r).dims
+            for r in (1, 2, 3)}
     # each level runs its distinct positions once per trial: 2 particles * 2
     # iterations, less the global best at rest in the second; a frozen level
     # runs no more, and finer levels start from its winner's runs
@@ -509,6 +510,41 @@ def test_train_cascade_makes_each_level_run_once_per_call(pair32, monkeypatch):
     second = training.train_cascade(pairs, **settings)
     assert len(runs) == 3 * 2 * 3  # nothing is kept between calls
     assert first[0] == second[0] and untimed(first[1]) == untimed(second[1])
+
+
+def test_training_runs_on_the_pyramid_of_its_own_depth(pair32, monkeypatch):
+    fixed, moving, gold = pair32
+    pairs = [TrainingPair(fixed=fixed, moving=moving, gold=gold)]
+    spacings = []
+    real = optimizer.optimize_level
+
+    def recording(fixed_r, *args, **kwargs):
+        spacings.append(float(fixed_r.spacing[0]))
+        return real(fixed_r, *args, **kwargs)
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(optimizer, "optimize_level", recording)
+    cfg = optimizer.OptimizerConfig(max_iters=2)
+    training.train_cascade(pairs, u_trials=1, pso_cfg=PsoConfig(particles=2, iterations=1),
+                           opt_cfg=cfg, rate=0.01, seed=1, num_levels=3)
+    # the grids `register --levels 3` runs on, not levels 3..1 of a deeper pyramid
+    pyramid = optimizer.prepare(fixed, moving, 3).fixed_pyramid
+    grids = [float(pyramid.level(r).spacing[0]) for r in (3, 2, 1)]
+    assert grids == [4.0, 2.0, 1.0]
+    assert sorted(set(spacings), reverse=True) == grids
+    spacings.clear()
+    training.objective_Q(2, 0.5, pairs, 1, {3: 0.4}, cfg, 0.01, 1, num_levels=3)
+    assert spacings == [4.0, 2.0]
+
+
+def test_train_cascade_names_a_pair_it_cannot_prepare():
+    coarse = Volume(data=np.zeros((12, 12, 12)), spacing=(2, 2, 2))
+    pairs = [tiny_pair(19), TrainingPair(fixed=coarse, moving=coarse, gold=RigidParams())]
+    with pytest.raises(ValueError, match="^pair 1: fixed volume must be resampled"):
+        training.train_cascade(
+            pairs, u_trials=1, pso_cfg=PsoConfig(particles=2, iterations=1),
+            opt_cfg=optimizer.OptimizerConfig(), rate=0.01, seed=0,
+        )
 
 
 def test_train_cascade_rejects_empty_pairs():

@@ -15,8 +15,10 @@ The cases, all on seeded phantoms:
   trials, each on one CPU (in-process) and on every CPU the process may use
   (process pool).  Betas, best objective values, swarm histories and the
   report without ``elapsed_s`` get one line each.
-* ``bench.sweep`` over two 48-cube pairs: the cases CSV without its
-  ``time_ms`` column and the aggregate CSV without ``median_time_ms``.
+* ``bench.sweep`` over two 48-cube pairs, on one CPU and on every CPU, as
+  for ``train_cascade``: the cases CSV without its ``time_ms`` column and
+  the aggregate CSV without ``median_time_ms``.  Each sweep's wall time goes
+  to stderr.
 * the CLI's ``phantom``, ``register``, ``train``, ``sweep`` and ``mask``
   outputs.  Each output's ``config`` provenance block is printed as JSON
   and the rest hashed, so a change of settings keys shows as such and
@@ -34,6 +36,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -93,15 +96,26 @@ def phantom_pair(size: int, i: int) -> training.TrainingPair:
     return training.TrainingPair(fixed, moving, gold)
 
 
+def on_cpus(cpus: int, run):
+    """``run()`` while this process may use only its first ``cpus`` CPUs."""
+    every_cpu = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(every_cpu)[:cpus])
+    try:
+        return run()
+    finally:
+        os.sched_setaffinity(0, every_cpu)
+
+
 def register_cases() -> None:
     pair = phantom_pair(48, 0)
+    prepared = optimizer.prepare(pair.fixed, pair.moving)
     for kind in ("urs", "gms", "mixed"):
         for rate in (0.0005, 0.005, 0.05):
             for seed in (0, 1):
                 result = optimizer.register(
                     pair.fixed, pair.moving, sampler_kind=kind,
                     betas=BETAS if kind == "mixed" else None, rate=rate, seed=seed,
-                    prepared=pair.prepared,
+                    prepared=prepared,
                 )
                 emit(f"register {kind} rate={rate} seed={seed}", sha(untimed(result.to_dict())))
 
@@ -112,20 +126,15 @@ def train_cases() -> None:
     np.savez(npz, **workloads.generate(w, 1, w.size))
     npz.seek(0)
     loaded = workloads.load(npz, w.num_pairs)  # as the benchmark loads them
-    every_cpu = os.sched_getaffinity(0)
     for particles, iterations, trials in ((2, 1, 1), (3, 2, 2)):
-        for cpus in (1, len(every_cpu)):
-            os.sched_setaffinity(0, sorted(every_cpu)[:cpus])
-            try:
-                pairs = [training.TrainingPair(p.fixed, p.moving, p.gold) for p in loaded]
-                betas, report = training.train_cascade(
-                    pairs, trials,
-                    training.PsoConfig(particles=particles, iterations=iterations),
-                    optimizer.OptimizerConfig(), w.rate,
-                    derive_seed(1, workloads.TRAIN_STREAM), workloads.NUM_LEVELS,
-                )
-            finally:
-                os.sched_setaffinity(0, every_cpu)
+        for cpus in (1, len(os.sched_getaffinity(0))):
+            pairs = [training.TrainingPair(p.fixed, p.moving, p.gold) for p in loaded]
+            betas, report = on_cpus(cpus, lambda: training.train_cascade(
+                pairs, trials,
+                training.PsoConfig(particles=particles, iterations=iterations),
+                optimizer.OptimizerConfig(), w.rate,
+                derive_seed(1, workloads.TRAIN_STREAM), workloads.NUM_LEVELS,
+            ))
             name = f"train pso={particles}x{iterations} trials={trials} cpus={cpus}"
             emit(f"{name} betas", sha({str(r): b for r, b in sorted(betas.items())}))
             emit(f"{name} best_q", sha([lv["best_q_mm2"] for lv in report["levels"]]))
@@ -134,13 +143,17 @@ def train_cases() -> None:
 
 
 def sweep_cases(tmp: Path) -> None:
-    named = [(f"pair{i}", phantom_pair(48, i)) for i in range(2)]
-    report = bench.sweep(named, ("urs", "gms", "mixed"), (0.001, 0.01), 2,
-                         seed=5, betas=BETAS)
-    bench.write_cases_csv(report["outcomes"], tmp / "cases.csv", 4, BETAS)
-    bench.write_aggregate_csv(report["aggregates"], tmp / "aggregate.csv")
-    emit("sweep cases", sha(csv_untimed((tmp / "cases.csv").read_text())[1]))
-    emit("sweep aggregate", sha(csv_untimed((tmp / "aggregate.csv").read_text())[1]))
+    for cpus in (1, len(os.sched_getaffinity(0))):
+        named = [(f"pair{i}", phantom_pair(48, i)) for i in range(2)]
+        start = time.perf_counter()
+        report = on_cpus(cpus, lambda: bench.sweep(
+            named, ("urs", "gms", "mixed"), (0.001, 0.01), 2, seed=5, betas=BETAS))
+        print(f"sweep on {cpus} CPU(s): {time.perf_counter() - start:.1f} s", file=sys.stderr)
+        bench.write_cases_csv(report["outcomes"], tmp / "cases.csv", 4, BETAS)
+        bench.write_aggregate_csv(report["aggregates"], tmp / "aggregate.csv")
+        emit(f"sweep cpus={cpus} cases", sha(csv_untimed((tmp / "cases.csv").read_text())[1]))
+        emit(f"sweep cpus={cpus} aggregate",
+             sha(csv_untimed((tmp / "aggregate.csv").read_text())[1]))
 
 
 def json_output(name: str, path: Path) -> None:
