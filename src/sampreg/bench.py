@@ -220,9 +220,10 @@ def sweep(
     pairs = list(pairs)
     if trials < 1:
         raise ValueError("need at least one trial")
-    for kind in sampler_kinds:
-        if kind == "mixed" and betas is None:
-            raise ValueError("mixed sampler in a sweep requires betas")
+    if "mixed" in sampler_kinds:
+        missing = [r for r in range(1, num_levels + 1) if r not in (betas or {})]
+        if missing:
+            raise ValueError(f"mixed sampler in a sweep needs betas for levels {missing}")
     runs = [
         (i, dict(sampler_kind=kind, betas=betas if kind == "mixed" else None, rate=rate,
                  seed=derive_seed(seed, _CASE_STREAM, i, trial), num_levels=num_levels))

@@ -101,6 +101,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--rate: must be in (0, 1], got {cfg.rate}")
     if cfg.num_levels < 1:
         raise UsageError("--levels: must be at least 1")
+    if cfg.seed < 0:
+        raise UsageError(f"--seed: must be non-negative, got {cfg.seed}")
     try:
         return replace(cfg, optimizer=OptimizerConfig(**opt))
     except ValueError as e:
@@ -152,6 +154,16 @@ def _load_betas_flag(path) -> dict:
 def cmd_phantom(args) -> int:
     if args.size < 32:
         raise UsageError("--size: must be at least 32")
+    if args.seed < 0:
+        raise UsageError(f"--seed: must be non-negative, got {args.seed}")
+    if not args.gamma > 0:
+        raise UsageError(f"--gamma: must be positive, got {args.gamma}")
+    if not args.noise >= 0:
+        raise UsageError(f"--noise: must be non-negative, got {args.noise}")
+    if not args.make_moving and (args.params or args.gold):
+        raise UsageError("--params/--gold: only meaningful with --make-moving")
+    if args.make_moving and args.params is None:
+        raise UsageError("--make-moving: requires --params")
     provenance = {
         "command": "phantom",
         "size": args.size,
@@ -161,11 +173,7 @@ def cmd_phantom(args) -> int:
         "params": args.params,
     }
     fixed = bench.make_phantom(args.size, args.seed)
-    save_volume(fixed, args.out)
-    _write_provenance_sidecar(args.out, provenance)
-    if args.make_moving:
-        if args.params is None:
-            raise UsageError("--make-moving: requires --params")
+    if args.make_moving:  # compute both volumes before writing either
         values = _parse_params(args.params)
         gold = transform.RigidParams(
             t=values[:3], r=values[3:], center=fixed.center_mm
@@ -176,12 +184,13 @@ def cmd_phantom(args) -> int:
             )
         except ValueError as e:
             raise UsageError(f"--params: {e}") from e
+    save_volume(fixed, args.out)
+    _write_provenance_sidecar(args.out, provenance)
+    if args.make_moving:
         save_volume(moving, args.make_moving)
         _write_provenance_sidecar(args.make_moving, provenance)
         if args.gold:
             _write_json(args.gold, {"transform": gold.to_dict(), "config": provenance})
-    elif args.params or args.gold:
-        raise UsageError("--params/--gold: only meaningful with --make-moving")
     return 0
 
 
@@ -277,9 +286,15 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--rates: {rate} outside (0, 1]")
     if args.trials < 1:
         raise UsageError("--trials: must be at least 1")
+    if not args.threshold > 0:
+        raise UsageError(f"--threshold: must be positive, got {args.threshold}")
     betas = _load_betas_flag(args.betas) if args.betas else None
-    if "mixed" in kinds and betas is None:
-        raise UsageError("--betas: required when sweeping the mixed sampler")
+    if "mixed" in kinds:
+        if betas is None:
+            raise UsageError("--betas: required when sweeping the mixed sampler")
+        missing = [r for r in range(1, cfg.num_levels + 1) if r not in betas]
+        if missing:
+            raise UsageError(f"--betas: no mixing weight for levels {missing}")
     pairs = _load_manifest(args.pairs)
     named = [(f"pair{i}", p) for i, p in enumerate(pairs)]
     report = bench.sweep(

@@ -23,7 +23,7 @@ their own weights.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -282,22 +282,20 @@ def optimize_level(
 
 @dataclass(frozen=True, eq=False)
 class PreparedPair:
-    """Pyramids and per-level sampling inputs, reusable across runs.
+    """The O(N) work on one pair, done once and reused across runs.
 
-    ``gradient_sources`` holds the moving image's gradient magnitude
-    expressed on each level's FIXED grid (sampling probabilities index
-    fixed voxels, while the gradient belongs to the moving image), so
-    grids that already coincide reuse the array and others get a
-    trilinear pullback with zero outside.
+    Level 1 of each pyramid is the input volume itself, so the full
+    resolution's intensity ranges, centre and bounds are read from the
+    volumes, not stored here.  ``gradient_sources`` holds the moving
+    image's gradient magnitude expressed on each level's FIXED grid
+    (sampling probabilities index fixed voxels, while the gradient belongs
+    to the moving image), so grids that already coincide reuse the array
+    and others get a trilinear pullback with zero outside.
     """
 
     fixed_pyramid: Pyramid
     moving_pyramid: Pyramid
     gradient_sources: tuple
-    fixed_range: tuple
-    moving_range: tuple
-    center: np.ndarray = field(repr=False)
-    rotation_scale: float
 
     @property
     def num_levels(self) -> int:
@@ -313,7 +311,11 @@ def _require_1mm(v: Volume, name: str) -> None:
 
 
 def prepare(fixed: Volume, moving: Volume, num_levels: int = 4) -> PreparedPair:
-    """Build both pyramids and the per-level gradient sources once."""
+    """Build both pyramids and the per-level gradient sources once.
+
+    Everything else a run needs (intensity ranges, centre, rotation scale)
+    is cheap and is read from the volumes by ``register``.
+    """
     _require_1mm(fixed, "fixed")
     _require_1mm(moving, "moving")
     fixed_pyr = build_pyramid(fixed, num_levels)
@@ -331,16 +333,7 @@ def prepare(fixed: Volume, moving: Volume, num_levels: int = 4) -> PreparedPair:
                 vals.reshape(flevel.dims, order="F"),
                 flevel.spacing, flevel.origin,
             ))
-    lo, hi = fixed.bounds
-    return PreparedPair(
-        fixed_pyramid=fixed_pyr,
-        moving_pyramid=moving_pyr,
-        gradient_sources=tuple(sources),
-        fixed_range=fixed.intensity_range,
-        moving_range=moving.intensity_range,
-        center=fixed.center_mm,
-        rotation_scale=0.5 * float(np.linalg.norm(hi - lo)),
-    )
+    return PreparedPair(fixed_pyr, moving_pyr, tuple(sources))
 
 
 def register(
@@ -391,10 +384,11 @@ def register(
     if prepared is None:
         prepared = prepare(fixed, moving, num_levels)
     if cfg.rotation_scale is None:
-        cfg = replace(cfg, rotation_scale=prepared.rotation_scale)
+        lo, hi = fixed.bounds
+        cfg = replace(cfg, rotation_scale=0.5 * float(np.linalg.norm(hi - lo)))
 
     notes: list = []
-    params = RigidParams.identity(prepared.center) if init is None else init
+    params = RigidParams.identity(fixed.center_mm) if init is None else init
     level_reports = []
     escaped_fractions = []
     for r in range(num_levels, stop_level - 1, -1):
@@ -409,7 +403,7 @@ def register(
                 prepared.fixed_pyramid.level(r),
                 prepared.moving_pyramid.level(r),
                 dist, params, cfg, make_rng(seed, _LEVEL_STREAM, r),
-                prepared.fixed_range, prepared.moving_range,
+                fixed.intensity_range, moving.intensity_range,
             )
         except (InitializationOutsideOverlapError, EmptyDrawError) as e:
             raise type(e)(f"level {r}: {e}") from e

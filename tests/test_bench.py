@@ -310,21 +310,35 @@ def test_sweep_pool_matches_in_process_bit_for_bit(pair32, monkeypatch, tmp_path
 
 def test_sweep_records_a_worker_engine_error_as_in_process(pair32, monkeypatch, tmp_path):
     fixed, moving, gold = pair32
+    # moved 500 mm away, the moving volume leaves no sampled voxel in overlap
+    far = Volume(moving.data, spacing=moving.spacing, origin=moving.origin + 500.0)
     log = tmp_path / "pids"
     logging_register(monkeypatch, log)
     errors = {}
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
-        pairs = [("pair0", TrainingPair(fixed=fixed, moving=moving, gold=gold))]
-        # register itself refuses a mixed run without a weight for level 2
-        out = bench.sweep(pairs, ["mixed"], [0.01], trials=2, seed=1,
-                          betas={1: 0.5}, num_levels=2)
+        pairs = [("pair0", TrainingPair(fixed=fixed, moving=far, gold=gold))]
+        out = bench.sweep(pairs, ["urs"], [0.01], trials=2, seed=1, num_levels=2)
         errors[cpus] = [o.error for o in out["outcomes"]]
         assert all(o.failed and math.isinf(o.max_tre) for o in out["outcomes"])
         assert (set(log.read_text().split()) == {str(os.getpid())}) == (cpus == 1)
         log.unlink()
-    assert errors[1] == errors[2] == [
-        "ValueError: mixed sampler needs a beta for levels [2]"] * 2
+    assert errors[1] == errors[2]
+    assert all(e.startswith("InitializationOutsideOverlapError: level 2: iteration 0: ")
+               for e in errors[1])
+
+
+def test_sweep_names_missing_betas_before_preparing_a_pair(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair was prepared")
+
+    monkeypatch.setattr(optimizer, "prepare", refuse)
+    betas = {1: 0.2, 2: 0.4, 3: 0.6}
+    with pytest.raises(ValueError, match=r"needs betas for levels \[4\]"):
+        bench.sweep(stub_pairs(), ["urs", "mixed"], [0.01], trials=1, betas=betas)
+    with pytest.raises(ValueError, match=r"needs betas for levels \[1, 2\]"):
+        bench.sweep(stub_pairs(), ["mixed"], [0.01], trials=1, betas={3: 0.5},
+                    num_levels=3)
 
 
 def test_sweep_worker_error_propagates_and_leaves_no_process(monkeypatch):

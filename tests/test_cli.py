@@ -165,6 +165,43 @@ def test_phantom_rejects_oversized_translation(tmp_path, capsys):
     assert "--params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--params", GOLD_PARAMS], "--params/--gold"),
+    (["--gold", "gold.json"], "--params/--gold"),
+    (["--make-moving", "m.rvol"], "--make-moving"),
+    (["--make-moving", "m.rvol", "--params", GOLD_PARAMS, "--gamma", "0"], "--gamma"),
+    (["--gamma", "-1"], "--gamma"),
+    (["--make-moving", "m.rvol", "--params", GOLD_PARAMS, "--noise", "-0.5"], "--noise"),
+    (["--make-moving", "m.rvol", "--params", "25,0,0,0,0,0"], "--params"),
+    (["--seed", "-3"], "--seed"),
+])
+def test_phantom_usage_error_names_its_flag_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, flags, named):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["phantom", "--size", "32", "--out", "v.rvol"] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sampreg phantom: {named}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["register", "train", "sweep", "mask"])
+def test_negative_seed_is_usage_error_naming_the_flag(cli_ws, manifest, tmp_path, capsys,
+                                                      command):
+    out = tmp_path / "out"
+    inputs = {
+        "register": register_args(cli_ws, out, "--sampler", "urs"),
+        "train": ["train", "--pairs", str(manifest), "--out", str(out)],
+        "sweep": ["sweep", "--pairs", str(manifest), "--samplers", "urs", "--out", str(out)],
+        "mask": ["mask", "--volume", str(cli_ws / "fixed.rvol"), "--sampler", "urs",
+                 "--out", str(out)],
+    }[command]
+    rc = cli.main(inputs + ["--seed", "-3"])
+    assert rc == 2
+    assert f"sampreg {command}: --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # register
 # ---------------------------------------------------------------------------
@@ -518,6 +555,29 @@ def test_sweep_mixed_requires_betas(manifest, tmp_path, capsys):
     ])
     assert rc == 2
     assert "--betas" in capsys.readouterr().err
+
+
+def test_sweep_betas_missing_a_level_is_usage_error(manifest, tmp_path, capsys):
+    betas = write_betas(tmp_path / "betas.json", {1: 0.2, 2: 0.4, 3: 0.6})
+    rc = cli.main([
+        "sweep", "--pairs", str(manifest), "--samplers", "urs,mixed", "--betas", betas,
+        "--rates", "0.01", "--trials", "1", "--out", str(tmp_path / "cases.csv"),
+    ])
+    assert rc == 2
+    assert "--betas: no mixing weight for levels [4]" in capsys.readouterr().err
+    assert not (tmp_path / "cases.csv").exists()
+
+
+@pytest.mark.parametrize("threshold", ["-1", "0", "nan"])
+def test_sweep_rejects_a_threshold_that_fails_every_case(manifest, tmp_path, capsys,
+                                                         threshold):
+    rc = cli.main([
+        "sweep", "--pairs", str(manifest), "--samplers", "urs", "--rates", "0.01",
+        "--trials", "1", "--threshold", threshold, "--out", str(tmp_path / "cases.csv"),
+    ])
+    assert rc == 2
+    assert "--threshold" in capsys.readouterr().err
+    assert not (tmp_path / "cases.csv").exists()
 
 
 def test_sweep_rejects_unknown_sampler(manifest, tmp_path, capsys):

@@ -53,6 +53,25 @@ def test_config_rejects_histogram_settings_the_metric_cannot_use():
         OptimizerConfig(kernel_radius=4)
 
 
+def test_dogleg_falls_back_to_least_squares_on_a_singular_curvature():
+    # no Newton solve exists; the minimum-norm least-squares step stands in
+    b = np.diag([2.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    g = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(b, g)
+    step = optimizer._dogleg_step(g, b, radius=2.0)
+    np.testing.assert_allclose(step, [-0.5, -1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_dogleg_takes_a_steepest_descent_step_on_non_positive_curvature():
+    # the Newton point lies outside the region and g.B.g < 0
+    b = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+    g = np.array([1.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+    assert g @ b @ g < 0 and np.linalg.norm(np.linalg.solve(b, g)) > 1.0
+    step = optimizer._dogleg_step(g, b, radius=1.0)
+    np.testing.assert_allclose(step, -g / np.linalg.norm(g))
+
+
 def test_stationary_needs_a_full_window_of_interior_steps(monkeypatch):
     monkeypatch.setattr(optimizer, "_STALL_WINDOW", 8)
     rng = make_rng(12)
@@ -161,6 +180,45 @@ def test_optimize_level_is_seed_deterministic(pair32):
     assert t1 == t2
 
 
+def test_a_level_runs_on_a_singular_curvature(pair32, monkeypatch):
+    # one retained sample and no damping leave the curvature singular
+    fixed, moving, gold, dist, rs = level_setup(pair32)
+    centre = np.array([16 + 32 * (16 + 32 * 16)])
+    monkeypatch.setattr(sampler, "draw", lambda d, rng: centre)
+    fallbacks = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    cfg = OptimizerConfig(num_bins=16, max_iters=3, damping=0.0, rotation_scale=rs)
+    _, trace = optimizer.optimize_level(fixed, moving, dist, gold, cfg, make_rng(5))
+    assert len(fallbacks) == len(trace["rows"]) == 3
+    assert all(row["sample_size"] - row["escaped"] == 1 for row in trace["rows"])
+
+
+def test_a_trial_whose_samples_all_escape_is_rejected_and_cuts_the_radius(pair32, monkeypatch):
+    fixed, moving, gold, dist, rs = level_setup(pair32)
+    metric_value = similarity.metric_value
+
+    def far_trial(fixed, moving, params, *args):
+        # the trial lands 500 mm away, so every one of its samples escapes
+        far = params.with_vector(params.as_vector() + [500.0, 0, 0, 0, 0, 0])
+        return metric_value(fixed, moving, far, *args)
+
+    monkeypatch.setattr(similarity, "metric_value", far_trial)
+    cfg = OptimizerConfig(num_bins=16, max_iters=3, rotation_scale=rs)
+    params, trace = optimizer.optimize_level(fixed, moving, dist, gold, cfg, make_rng(3))
+    assert params is gold
+    rows = trace["rows"]
+    assert [row["radius"] for row in rows] == [1.0, 0.25, 0.0625]
+    for row in rows:
+        assert (row["trial_value"], row["rho"], row["accepted"]) == (None, None, False)
+        assert np.isfinite(row["value"])
+
+
 def test_optimize_level_requires_resolved_rotation_scale(pair32):
     fixed, moving, gold, dist, rs = level_setup(pair32)
     with pytest.raises(ValueError):
@@ -183,12 +241,8 @@ def test_prepare_builds_matched_pyramids(pair32):
     for r in range(1, 5):
         g = prepared.gradient_sources[r - 1]
         assert g.dims == prepared.fixed_pyramid.level(r).dims
-    lo, hi = fixed.bounds
-    assert prepared.rotation_scale == pytest.approx(
-        0.5 * np.linalg.norm(hi - lo)
-    )
-    assert prepared.fixed_range == fixed.intensity_range
-    assert prepared.moving_range == moving.intensity_range
+    assert prepared.fixed_pyramid.level(1) is fixed
+    assert prepared.moving_pyramid.level(1) is moving
 
 
 def test_prepare_rejects_non_isotropic_input():
@@ -217,6 +271,28 @@ def test_register_validates_arguments(pair32):
     with pytest.raises(ValueError, match="num_levels=5 exceeds the prepared pair's 4 levels"):
         optimizer.register(fixed, moving, sampler_kind="urs", num_levels=5,
                            prepared=prepared)
+
+
+def test_register_resolves_rotation_scale_and_start_from_the_fixed_volume(pair32, monkeypatch):
+    fixed, moving, _ = pair32
+    handed = []
+    real = optimizer.optimize_level
+
+    def spy(fixed_r, moving_r, dist, params0, cfg, rng, fixed_range, moving_range):
+        handed.append((params0, cfg, fixed_range, moving_range))
+        return real(fixed_r, moving_r, dist, params0, cfg, rng, fixed_range, moving_range)
+
+    monkeypatch.setattr(optimizer, "optimize_level", spy)
+    lo, hi = fixed.bounds
+    for cfg, scale in ((OptimizerConfig(max_iters=1), 0.5 * np.linalg.norm(hi - lo)),
+                       (OptimizerConfig(max_iters=1, rotation_scale=7.0), 7.0)):
+        handed.clear()
+        optimizer.register(fixed, moving, sampler_kind="urs", rate=0.01, cfg=cfg)
+        assert [c.rotation_scale for _, c, _, _ in handed] == [pytest.approx(scale)] * 4
+        np.testing.assert_array_equal(handed[0][0].center, fixed.center_mm)
+        # every level bins on the full-resolution ranges, not its own
+        assert {(f, m) for _, _, f, m in handed} == {
+            (fixed.intensity_range, moving.intensity_range)}
 
 
 def test_register_refuses_a_pair_other_than_the_prepared_one(pair32):
@@ -358,7 +434,9 @@ def test_register_raises_outside_overlap(phantom32):
         )
 
 
-def test_failed_register_leaves_no_draw_worker(phantom32):
+def test_failed_register_starts_no_thread(phantom32):
+    """A registration runs on the calling thread alone, and a failed one
+    leaves no thread behind."""
     far = Volume(
         data=phantom32.data,
         spacing=phantom32.spacing,
@@ -376,9 +454,10 @@ def test_failed_register_leaves_no_draw_worker(phantom32):
 def in_line_cascade(fixed, moving, kind, rate, cfg, seed, betas=None):
     """The cascade run level by level through optimize_level, drawing in line."""
     prepared = optimizer.prepare(fixed, moving)
-    cfg = replace(cfg, rotation_scale=prepared.rotation_scale)
-    m = sampler.budget(rate, prepared.fixed_pyramid.level(1).num_voxels)
-    params = transform.RigidParams.identity(prepared.center)
+    lo, hi = fixed.bounds
+    cfg = replace(cfg, rotation_scale=0.5 * float(np.linalg.norm(hi - lo)))
+    m = sampler.budget(rate, fixed.num_voxels)
+    params = transform.RigidParams.identity(fixed.center_mm)
     levels = []
     for r in range(prepared.num_levels, 0, -1):
         dist, _ = sampler.build(
@@ -388,7 +467,7 @@ def in_line_cascade(fixed, moving, kind, rate, cfg, seed, betas=None):
         params, trace = optimizer.optimize_level(
             prepared.fixed_pyramid.level(r), prepared.moving_pyramid.level(r),
             dist, params, cfg, make_rng(seed, optimizer._LEVEL_STREAM, r),
-            prepared.fixed_range, prepared.moving_range,
+            fixed.intensity_range, moving.intensity_range,
         )
         levels.append((params.to_dict(), trace))
     return levels
@@ -417,9 +496,9 @@ def test_register_is_the_level_by_level_cascade(pair32, kind):
 
 
 @pytest.mark.parametrize("kind", sampler.KINDS)
-def test_drawing_ahead_is_bit_identical_to_drawing_in_line(pair32, monkeypatch, kind):
-    """A level's generator feeds its draws and nothing else, so making all of
-    a level's draws ahead, before its first iteration, changes no bit."""
+def test_a_levels_generator_feeds_its_draws_and_nothing_else(pair32, monkeypatch, kind):
+    """Nothing but a level's draws reads its generator: making all of the
+    level's draws before its first iteration changes no bit of the result."""
     fixed, moving, _ = pair32
     betas = {r: 0.3 for r in range(1, 5)}
     reference = in_line_cascade(fixed, moving, kind, 0.01, EARLY_STOP_CFG, 6, betas)

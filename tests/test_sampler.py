@@ -367,15 +367,21 @@ def test_frequency_check_flags_each_defect(defect):
 
 
 def test_draw_frequencies_match_probs():
+    """Both draw paths: a bare mixture draws through its own cover, while
+    ``sampler.build`` attaches the level's shared cover, as registrations use."""
     rng = make_rng(34)
     g = Volume(data=rng.random((4, 4, 4)) + 0.02, spacing=(1, 1, 1))
     q = sampler.build_gms(g, 12, level=1)
     u = sampler.build_urs(g.num_voxels, 12, level=1)
-    d = sampler.build_mixed(u, q, 0.3)
-    hits = np.zeros(d.num_voxels)
-    for k in range(FREQ_DRAWS):
-        hits[sampler.draw(d, make_rng(70, k))] += 1
-    assert frequency_failures([(d.probs, hits)], FREQ_DRAWS) == []
+    built, fallback = sampler.build("mixed", g.num_voxels, 12, g, 0.3, level=1)
+    assert fallback is None and built.cover is not None
+    family = []
+    for root, d in ((70, sampler.build_mixed(u, q, 0.3)), (71, built)):
+        hits = np.zeros(d.num_voxels)
+        for k in range(FREQ_DRAWS):
+            hits[sampler.draw(d, make_rng(root, k))] += 1
+        family.append((d.probs, hits))
+    assert frequency_failures(family, FREQ_DRAWS) == []
 
 
 # ---------------------------------------------------------------------------

@@ -740,9 +740,9 @@ def test_train_cascade_runs_draw_their_own_streams(pair32, monkeypatch, tmp_path
     assert all("streams" not in lv for lv in report["levels"])
 
 
-def test_an_enveloped_level_starts_no_draw_thread(pair32, monkeypatch):
-    """Every level draws from its cover in line, on the calling thread, and
-    registration starts no thread to draw ahead."""
+def test_every_level_draws_from_its_cover_on_the_calling_thread(pair32, monkeypatch):
+    """Every draw of a registration comes from its level's cover, on the
+    calling thread, and no other thread is running while it is made."""
     fixed, moving, _ = pair32
     before = threading.active_count()
     seen = []
