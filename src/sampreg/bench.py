@@ -212,10 +212,10 @@ def sweep(
     while other threads run.  A case depends only on its own arguments and
     outcomes keep case order, so they are bit for bit the same whatever the
     CPU count; only ``elapsed_s``, each case's wall time, differs.  A case
-    whose registration raises a ``ValueError`` (every engine error is one)
-    becomes a failed outcome that records the error; any other exception is
-    a programming error and propagates.  Returns {"outcomes", "aggregates"}
-    with aggregates ordered by the given sampler then rate order.
+    whose registration fails (``optimizer.REGISTRATION_FAILURES``) becomes a
+    failed outcome that records the error; any other exception, such as an
+    unknown sampler or a rate outside (0, 1], propagates.  Returns
+    {"outcomes", "aggregates"}, aggregates in the given sampler then rate order.
     """
     pairs = list(pairs)
     if trials < 1:
@@ -231,14 +231,14 @@ def sweep(
         for trial in range(trials)
     ]
     with training.Registrations([pair for _, pair in pairs], num_levels,
-                                cfg, (ValueError,), len(runs)) as run_all:
+                                cfg, len(runs)) as run_all:
         results = run_all(runs)
     outcomes = []
     for (i, case), (est, elapsed_s) in zip(runs, results):
         pair_id, pair = pairs[i]
         scored = dict(pair_id=pair_id, sampler_kind=case["sampler_kind"], rate=case["rate"],
                       trial_seed=case["seed"], elapsed_s=elapsed_s)
-        if isinstance(est, ValueError):  # registration raised: infinite error
+        if isinstance(est, Exception):  # registration failed: infinite error
             outcomes.append(CaseOutcome(
                 tre_per_point=(math.inf,) * len(pair.probe_points), failed=True,
                 error=f"{type(est).__name__}: {est}", **scored))

@@ -142,13 +142,21 @@ def _write_provenance_sidecar(volume_path, config: dict) -> None:
     _write_json(Path(str(volume_path) + ".provenance.json"), {"config": config})
 
 
-def _load_betas_flag(path) -> dict:
+def _load_betas_flag(path, levels, flag: str = "--betas") -> dict:
+    """A mixed run's --betas weights, with one for each of ``levels``; a level
+    without one is reported under ``flag``."""
+    if not path:
+        raise UsageError("--betas: required for the mixed sampler")
     try:
-        return sampler.load_betas(path)
+        betas = sampler.load_betas(path)
     except OSError as e:
         raise UsageError(f"--betas: cannot read {path}: {e}") from e
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"--betas: malformed file {path}: {e}") from e
+    missing = [r for r in levels if r not in betas]
+    if missing:
+        raise UsageError(f"{flag}: no mixing weight for levels {missing}")
+    return betas
 
 
 def cmd_phantom(args) -> int:
@@ -196,11 +204,8 @@ def cmd_phantom(args) -> int:
 
 def cmd_register(args) -> int:
     cfg = resolve_config(args)
-    betas = None
-    if cfg.sampler == "mixed":
-        if not args.betas:
-            raise UsageError("--betas: required for the mixed sampler")
-        betas = _load_betas_flag(args.betas)
+    betas = (_load_betas_flag(args.betas, range(1, cfg.num_levels + 1))
+             if cfg.sampler == "mixed" else None)
     fixed = _load_1mm(args.fixed, "--fixed")
     moving = _load_1mm(args.moving, "--moving")
     result = optimizer.register(
@@ -288,13 +293,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--trials: must be at least 1")
     if not args.threshold > 0:
         raise UsageError(f"--threshold: must be positive, got {args.threshold}")
-    betas = _load_betas_flag(args.betas) if args.betas else None
-    if "mixed" in kinds:
-        if betas is None:
-            raise UsageError("--betas: required when sweeping the mixed sampler")
-        missing = [r for r in range(1, cfg.num_levels + 1) if r not in betas]
-        if missing:
-            raise UsageError(f"--betas: no mixing weight for levels {missing}")
+    betas = (_load_betas_flag(args.betas, range(1, cfg.num_levels + 1))
+             if "mixed" in kinds else None)
     pairs = _load_manifest(args.pairs)
     named = [(f"pair{i}", p) for i, p in enumerate(pairs)]
     report = bench.sweep(
@@ -317,15 +317,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_mask(args) -> int:
     cfg = resolve_config(args)
+    beta = (_load_betas_flag(args.betas, [args.level], "--level")[args.level]
+            if cfg.sampler == "mixed" else None)
     volume = _load_1mm(args.volume, "--volume")
-    beta = None
-    if cfg.sampler == "mixed":
-        if not args.betas:
-            raise UsageError("--betas: required for the mixed sampler")
-        betas = _load_betas_flag(args.betas)
-        if args.level not in betas:
-            raise UsageError(f"--level: no mixing weight for level {args.level}")
-        beta = betas[args.level]
     # The volume's own gradient drives gms and mixed: there is no second image.
     gradient = None if cfg.sampler == "urs" else gradient_magnitude(volume)
     dist, fallback = sampler.build(

@@ -57,6 +57,11 @@ class EmptyDrawError(ValueError):
     """Every draw an iteration tried selected no voxel."""
 
 
+# How a registration itself fails, as opposed to a caller error: batches of
+# runs charge these to the run that meets them (see ``training.Registrations``).
+REGISTRATION_FAILURES = (InitializationOutsideOverlapError, EmptyDrawError)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Metric and trust-region settings for one level's inner optimization.
@@ -374,9 +379,9 @@ def register(
                          f"{prepared.num_levels} levels")
     if sampler_kind == "mixed":
         missing = [r for r in range(stop_level, num_levels + 1)
-                   if betas is None or r not in betas]
+                   if not 0.0 <= (betas or {}).get(r, -1.0) <= 1.0]
         if missing:
-            raise ValueError(f"mixed sampler needs a beta for levels {missing}")
+            raise ValueError(f"mixed sampler needs a beta in [0, 1] for levels {missing}")
     cfg = cfg or OptimizerConfig()
     m = sampler.budget(rate, fixed.num_voxels)
 
@@ -405,7 +410,7 @@ def register(
                 dist, params, cfg, make_rng(seed, _LEVEL_STREAM, r),
                 fixed.intensity_range, moving.intensity_range,
             )
-        except (InitializationOutsideOverlapError, EmptyDrawError) as e:
+        except REGISTRATION_FAILURES as e:
             raise type(e)(f"level {r}: {e}") from e
         for row in trace["rows"]:
             escaped_fractions.append(row["escaped"] / max(row["sample_size"], 1))

@@ -306,14 +306,21 @@ def save_betas(betas: dict, path, extra: dict | None = None) -> None:
 
 
 def load_betas(path) -> dict:
-    """Read a mixing-weight file back into {level: beta}."""
+    """Read a mixing-weight file back into {level: beta}.
+
+    Each entry needs an integer level of at least 1, listed once, and a
+    number in [0, 1]; the first entry that lacks one is named by position.
+    """
     with open(path) as f:
         doc = json.load(f)
     betas = {}
-    for entry in doc["levels"]:
-        r = int(entry["r"])
-        beta = float(entry["beta"])
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta for level {r} outside [0, 1]: {beta}")
-        betas[r] = beta
+    for i, entry in enumerate(doc["levels"]):
+        r, beta = entry["r"], entry["beta"]
+        if type(r) is not int or r < 1:
+            raise ValueError(f"levels[{i}]: level must be an integer >= 1, got {r!r}")
+        if r in betas:
+            raise ValueError(f"levels[{i}]: level {r} is listed twice")
+        if type(beta) not in (int, float) or not 0.0 <= beta <= 1.0:
+            raise ValueError(f"levels[{i}]: beta for level {r} outside [0, 1]: {beta!r}")
+        betas[r] = float(beta)
     return betas

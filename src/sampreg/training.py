@@ -117,28 +117,24 @@ def etre_term(gold: RigidParams, est: RigidParams, pts) -> float:
     return float(np.mean(np.sum(d * d, axis=1)))
 
 
-# Engine errors that charge a run the identity's error instead of raising.
-_CHARGED = (optimizer.InitializationOutsideOverlapError, optimizer.EmptyDrawError)
-
-
 def _trial_seed(seed: int, i: int, trial: int) -> int:
     """Seed of every run of pair i, trial ``trial``, whatever its weights."""
     return derive_seed(seed, _TRIAL_STREAM, i, trial)
 
 
-def _run(pairs, prepared, cfg, charged, run):
+def _run(pairs, prepared, cfg, run):
     """One run of a ``Registrations`` batch."""
     i, kwargs = run
     start = time.perf_counter()
     try:
         out = optimizer.register(pairs[i].fixed, pairs[i].moving, cfg=cfg,
                                  prepared=prepared[i], **kwargs).final_params
-    except charged as e:
+    except optimizer.REGISTRATION_FAILURES as e:
         out = e
     return out, time.perf_counter() - start
 
 
-# (pairs, prepared, cfg, charged) in a pool worker, set by _start_worker; None elsewhere.
+# (pairs, prepared, cfg) in a pool worker, set by _start_worker; None elsewhere.
 _worker_args = None
 
 
@@ -171,21 +167,21 @@ class Registrations:
     is named by its index.  A run is (pair index, keyword arguments of
     ``register`` other than ``cfg`` and ``prepared``); a batch returns one
     (final params, seconds) per run, with the error in place of the params
-    where registration raised one of ``charged``.  Any other error
-    propagates.  With batches of up to ``batch`` runs, ``_pool_workers``
-    decides whether the runs go to a fork-started process pool, whose
-    workers inherit the prepared pairs, or run here.  Use it as a context
-    manager, which shuts the pool down.
+    where registration failed (``optimizer.REGISTRATION_FAILURES``).  Any
+    other error propagates from the run that meets it.  With batches of up
+    to ``batch`` runs, ``_pool_workers`` decides whether the runs go to a
+    fork-started process pool, whose workers inherit the prepared pairs, or
+    run here.  Use it as a context manager, which shuts the pool down.
     """
 
-    def __init__(self, pairs, num_levels: int, cfg, charged, batch: int = 1):
+    def __init__(self, pairs, num_levels: int, cfg, batch: int = 1):
         prepared = []
         for i, pair in enumerate(pairs):
             try:
                 prepared.append(optimizer.prepare(pair.fixed, pair.moving, num_levels))
             except Exception as e:
                 raise type(e)(f"pair {i}: {e}") from e
-        self._args = (pairs, prepared, cfg, charged)
+        self._args = (pairs, prepared, cfg)
         workers = _pool_workers(batch)
         self._pool = None if workers <= 1 else ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
@@ -246,7 +242,7 @@ def _candidate_q(run_all, memo, level, candidates, pairs, u_trials, frozen_betas
         memo[beta] = [[None] * u_trials for _ in pairs]
         for i, trial in cells:
             est, _ = next(results)
-            memo[beta][i][trial] = None if isinstance(est, _CHARGED) else est
+            memo[beta][i][trial] = None if isinstance(est, Exception) else est
     # a failed run is charged the full initialization error
     return [float(np.mean([
         etre_term(pair.gold, RigidParams.identity(pair.fixed.center_mm) if est is None else est,
@@ -277,7 +273,7 @@ def objective_Q(
     this process, afresh: the reference that ``train_cascade`` must match.
     """
     pairs = list(pairs)
-    with Registrations(pairs, num_levels, opt_cfg, _CHARGED) as run_all:
+    with Registrations(pairs, num_levels, opt_cfg) as run_all:
         return _candidate_q(run_all, {}, level, [beta], pairs, u_trials, frozen_betas,
                             rate, seed, num_levels, starts)[0]
 
@@ -360,7 +356,7 @@ def train_cascade(
     betas: dict = {}
     report_levels = []
     starts = None
-    with Registrations(pairs, num_levels, opt_cfg, _CHARGED,
+    with Registrations(pairs, num_levels, opt_cfg,
                        pso_cfg.particles * len(pairs) * u_trials) as run_all:
         for r in range(num_levels, 0, -1):
             start = time.perf_counter()

@@ -258,6 +258,29 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         bench.sweep(stub_pairs(), ["urs"], [0.001], trials=1, seed=1)
 
 
+@pytest.mark.parametrize("kind, rate, betas, match", [
+    ("foo", 0.01, None, "unknown sampler kind 'foo'"),
+    ("urs", 0.0, None, "rate must be in"),
+    ("urs", 2.0, None, "rate must be in"),
+    ("mixed", 0.01, {1: 1.5, 2: 0.5, 3: 0.5, 4: 0.5}, r"beta in \[0, 1\] for levels \[1\]"),
+])
+def test_sweep_raises_caller_errors_instead_of_scoring_failures(kind, rate, betas, match):
+    with pytest.raises(ValueError, match=match):
+        bench.sweep(stub_pairs(), [kind], [rate], trials=1, betas=betas)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_propagates_a_plain_value_error(monkeypatch, cpus):
+    def stub(*args, **kwargs):
+        raise ValueError("a caller error, not a failed registration")
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(optimizer, "register", stub)
+    with pytest.raises(ValueError, match="a caller error"):
+        bench.sweep(stub_pairs(), ["urs"], [0.001], trials=2, seed=1)
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_validates_inputs():
     pairs = stub_pairs()
     with pytest.raises(ValueError):

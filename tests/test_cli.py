@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,6 +175,7 @@ def test_phantom_rejects_oversized_translation(tmp_path, capsys):
     (["--make-moving", "m.rvol", "--params", GOLD_PARAMS, "--noise", "-0.5"], "--noise"),
     (["--make-moving", "m.rvol", "--params", "25,0,0,0,0,0"], "--params"),
     (["--seed", "-3"], "--seed"),
+    (["--make-moving", "m.rvol", "--params", "1,2,3,4,5,x"], "--params"),
 ])
 def test_phantom_usage_error_names_its_flag_and_writes_nothing(
         tmp_path, capsys, monkeypatch, flags, named):
@@ -199,6 +201,60 @@ def test_negative_seed_is_usage_error_naming_the_flag(cli_ws, manifest, tmp_path
     rc = cli.main(inputs + ["--seed", "-3"])
     assert rc == 2
     assert f"sampreg {command}: --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("register", ["--config", "nope.json"], "--config"),
+    ("register", ["--config", "foo.json"], "--sampler"),
+    ("register", ["--sampler", "urs", "--levels", "0"], "--levels"),
+    ("register", ["--sampler", "mixed", "--betas", "nope.json"], "--betas: cannot read"),
+    ("register", ["--sampler", "mixed", "--betas", "bad.json"], "--betas: malformed file"),
+    ("train", ["--particles", "1"], "--particles"),
+    ("sweep", ["--samplers", ","], "--samplers"),
+    ("sweep", ["--samplers", "urs", "--rates", "x"], "--rates"),
+    ("sweep", ["--samplers", "urs", "--trials", "0"], "--trials"),
+    ("mask", ["--sampler", "mixed"], "--betas"),
+])
+def test_usage_error_names_its_flag_and_writes_nothing(cli_ws, manifest, tmp_path, capsys,
+                                                       monkeypatch, command, flags, named):
+    monkeypatch.chdir(tmp_path)
+    Path("foo.json").write_text(json.dumps({"sampler": "foo"}))
+    Path("bad.json").write_text(json.dumps({"levels": [{"r": 1}]}))
+    inputs = {
+        "register": ["register", "--fixed", str(cli_ws / "fixed.rvol"),
+                     "--moving", str(cli_ws / "moving.rvol")],
+        "train": ["train", "--pairs", str(manifest)],
+        "sweep": ["sweep", "--pairs", str(manifest)],
+        "mask": ["mask", "--volume", str(cli_ws / "fixed.rvol")],
+    }[command]
+    rc = cli.main(inputs + flags + ["--out", "out"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"sampreg {command}: {named}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "foo.json"]
+
+
+@pytest.mark.parametrize("command", ["register", "sweep", "mask"])
+@pytest.mark.parametrize("levels", [
+    [{"r": 1, "beta": 0.2}, {"r": 1, "beta": 0.9}],
+    [{"r": 1.7, "beta": 0.2}],
+    [{"r": 1, "beta": True}],
+])
+def test_malformed_betas_file_is_usage_error(cli_ws, manifest, tmp_path, capsys,
+                                             command, levels):
+    betas = tmp_path / "betas.json"
+    betas.write_text(json.dumps({"levels": levels}))
+    out = tmp_path / "out"
+    inputs = {
+        "register": register_args(cli_ws, out, "--sampler", "mixed", "--levels", "1"),
+        "sweep": ["sweep", "--pairs", str(manifest), "--samplers", "mixed", "--levels", "1",
+                  "--out", str(out)],
+        "mask": ["mask", "--volume", str(cli_ws / "fixed.rvol"), "--sampler", "mixed",
+                 "--out", str(out)],
+    }[command]
+    rc = cli.main(inputs + ["--betas", str(betas)])
+    assert rc == 2
+    assert f"sampreg {command}: --betas: malformed file" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -256,6 +312,20 @@ def test_register_mixed_requires_betas(cli_ws, tmp_path, capsys):
     rc = cli.main(register_args(cli_ws, tmp_path / "r.json", "--sampler", "mixed"))
     assert rc == 2
     assert "--betas" in capsys.readouterr().err
+
+
+def test_register_betas_missing_a_level_is_usage_error_before_reading_a_volume(
+        cli_ws, tmp_path, capsys, monkeypatch):
+    def refuse(path):
+        raise AssertionError("a volume was read")
+
+    monkeypatch.setattr(cli, "load_volume", refuse)
+    betas = write_betas(tmp_path / "betas.json", {1: 0.2, 2: 0.4, 3: 0.6})
+    out = tmp_path / "r.json"
+    rc = cli.main(register_args(cli_ws, out, "--sampler", "mixed", "--betas", betas))
+    assert rc == 2
+    assert "sampreg register: --betas: no mixing weight for levels [4]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_register_mixed_uses_betas_file(cli_ws, tmp_path):

@@ -72,6 +72,16 @@ def test_dogleg_takes_a_steepest_descent_step_on_non_positive_curvature():
     np.testing.assert_allclose(step, -g / np.linalg.norm(g))
 
 
+@pytest.mark.parametrize("b", [
+    np.eye(6),
+    np.diag([1.0, -1.0, 0.0, 1.0, 1.0, 1.0]),
+    np.full((6, 6), np.nan),  # no finite Newton step: the zero-gradient guard answers
+])
+def test_dogleg_steps_nowhere_on_a_zero_gradient(b):
+    step = optimizer._dogleg_step(np.zeros(6), b, radius=1.0)
+    np.testing.assert_array_equal(step, np.zeros(6))
+
+
 def test_stationary_needs_a_full_window_of_interior_steps(monkeypatch):
     monkeypatch.setattr(optimizer, "_STALL_WINDOW", 8)
     rng = make_rng(12)
@@ -371,6 +381,23 @@ def test_register_mixed_uses_betas_and_reports(pair32):
     assert doc["rng_algorithm"] == "numpy.random.Philox"
     assert doc["final"]["t_mm"] is not None
     assert "elapsed_s" in doc
+
+
+@pytest.mark.parametrize("betas", [
+    {4: 0.5, 3: 0.5, 2: 0.5, 1: 1.5},
+    {4: -0.1, 3: 0.5, 2: 0.5, 1: 0.5},
+    {4: 0.5, 3: float("nan"), 2: 0.5, 1: 0.5},
+])
+def test_register_checks_every_mixed_weight_before_running_a_level(pair32, monkeypatch, betas):
+    fixed, moving, _ = pair32
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(optimizer, "optimize_level", spy)
+    bad = [r for r, beta in betas.items() if not 0.0 <= beta <= 1.0]
+    with pytest.raises(ValueError, match=rf"needs a beta in \[0, 1\] for levels \{bad}"):
+        optimizer.register(fixed, moving, sampler_kind="mixed", betas=betas, rate=0.01)
 
 
 def test_register_seed_determinism(pair32):

@@ -82,6 +82,14 @@ def test_gms_clipping_resolves_iteratively():
     assert d.expected_count == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("m", [3, 4, 50])
+def test_gms_budget_at_or_above_the_nonzero_count_clips_every_one(m):
+    d = sampler.build_gms(gradient_volume([1, 0, 3, 2]), m)
+    np.testing.assert_array_equal(d.probs[:4], [1.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(d.probs[4:], 0.0)
+    assert d.expected_count == 3.0
+
+
 def test_gms_zero_gradient_voxels_unreachable():
     d = sampler.build_gms(gradient_volume([1, 0, 3]), 1)
     assert d.probs[1] == 0.0
@@ -619,4 +627,21 @@ def test_load_betas_rejects_out_of_range(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"levels": [{"r": 1, "beta": 1.5}]}))
     with pytest.raises(ValueError):
+        sampler.load_betas(path)
+
+
+@pytest.mark.parametrize("levels, match", [
+    ([{"r": 1, "beta": 0.2}, {"r": 1, "beta": 0.9}], r"levels\[1\]: level 1 is listed twice"),
+    ([{"r": 1.7, "beta": 0.2}], r"levels\[0\]: level must be an integer >= 1, got 1.7"),
+    ([{"r": True, "beta": 0.2}], r"levels\[0\]: level must be an integer >= 1, got True"),
+    ([{"r": 2, "beta": 0.2}, {"r": 1, "beta": True}], r"levels\[1\]: beta for level 1 .*True"),
+    ([{"r": 0, "beta": 0.2}], r"levels\[0\]: level must be an integer >= 1, got 0"),
+    ([{"r": -2, "beta": 0.2}], r"levels\[0\]: level must be an integer >= 1, got -2"),
+])
+def test_load_betas_rejects_malformed_levels(tmp_path, levels, match):
+    import json
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"levels": levels}))
+    with pytest.raises(ValueError, match=match):
         sampler.load_betas(path)

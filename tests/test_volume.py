@@ -272,6 +272,53 @@ def test_nifti_rejects_singleton_axis_and_bad_values(tmp_path):
         volume.load_volume(path)
 
 
+def big_endian(buf):
+    buf = bytearray(buf)
+    struct.pack_into(">i", buf, 0, 348)
+    return bytes(buf)
+
+
+def two_file(buf):
+    return buf[:344] + b"ni1\x00" + buf[348:]
+
+
+def with_dim0(ndim):
+    def edit(buf):
+        buf = bytearray(buf)
+        struct.pack_into("<h", buf, 40, ndim)
+        return bytes(buf)
+    return edit
+
+
+def with_fourth_dim(buf):
+    buf = bytearray(buf)
+    struct.pack_into("<h", buf, 40, 4)
+    struct.pack_into("<h", buf, 48, 2)  # dim[4]
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (big_endian, "big-endian"),
+    (two_file, "two-file"),
+    (with_dim0(0), r"dim\[0\]=0"),
+    (with_dim0(8), r"dim\[0\]=8"),
+    (with_fourth_dim, "more than 3 non-singleton dims"),
+])
+def test_nifti_rejects_unsupported_headers(tmp_path, edit, match):
+    path = tmp_path / "bad.nii"
+    path.write_bytes(edit(nifti_bytes((2, 2, 2), (1, 1, 1), 16, bytes(64))))
+    with pytest.raises(VolumeFormatError, match=match):
+        volume.load_volume(path)
+
+
+@pytest.mark.parametrize("pixdim", [(1, 0, 1), (1, 1, -2)])
+def test_nifti_rejects_non_positive_pixdim(tmp_path, pixdim):
+    path = tmp_path / "bad.nii"
+    path.write_bytes(nifti_bytes((2, 2, 2), pixdim, 16, bytes(32)))
+    with pytest.raises(VolumeFormatError, match="pixdim"):
+        volume.load_volume(path)
+
+
 def with_qform(buf, qoffset, quatern=(0.0, 0.0, 0.0), qfac=1.0, code=1):
     """NIfTI bytes with a qform: code at 252, quatern_b/c/d at 256, qoffset at 268."""
     buf = bytearray(buf)
