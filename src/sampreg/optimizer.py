@@ -138,7 +138,7 @@ class RegistrationResult:
 
 
 def _dogleg_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
-    """Approximate argmin of g.x + x.B.x/2 subject to |x| <= radius."""
+    """Approximate argmin of g.x + x.B.x/2 subject to |x| <= radius, for finite g and B."""
     try:
         newton = -np.linalg.solve(b, g)
     except np.linalg.LinAlgError:
@@ -146,8 +146,6 @@ def _dogleg_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     if np.linalg.norm(newton) <= radius:
         return newton
     gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        return np.zeros_like(g)
     gbg = g @ b @ g
     if gbg <= 0.0:
         return -(radius / gnorm) * g
@@ -200,14 +198,16 @@ def optimize_level(
     shared draw, the acceptance ratio, the radius used, and the draw size.
     An empty draw (possible at tiny budgets) is redrawn from the same
     stream, keeping runs seed-deterministic; after ``_EMPTY_DRAWS`` empty
-    draws in a row the level raises ``EmptyDrawError``.
+    draws in a row the level raises ``EmptyDrawError``.  A metric gradient
+    or curvature that is not finite raises ``ValueError``.
     """
     if cfg.rotation_scale is None:
         raise ValueError("rotation_scale must be resolved before optimize_level")
     scale = np.array([1.0, 1.0, 1.0] + [cfg.rotation_scale] * 3)
     inv_scale = 1.0 / scale
 
-    bin_table = similarity.bin_index_table(moving, moving_range, cfg.num_bins)
+    level = similarity.Level(fixed, moving, cfg.num_bins, cfg.kernel_radius,
+                             fixed_range, moving_range)
     params = params0
     radius = cfg.initial_radius
     moves = []
@@ -225,15 +225,18 @@ def optimize_level(
                 )
             idx = sampler.draw(dist, rng)
             draws += 1
+        side = similarity.FixedSide(level, idx)
         try:
             ev = similarity.evaluate(
-                fixed, moving, params, idx, cfg.num_bins, cfg.kernel_radius,
-                fixed_range, bin_table,
+                fixed, moving, params, side, cfg.num_bins, cfg.kernel_radius, fixed_range,
             )
         except similarity.DegenerateHistogramError as e:
             raise InitializationOutsideOverlapError(
                 f"iteration {iteration}: {e}"
             ) from e
+        for name, x in (("gradient", ev.gradient), ("curvature", ev.curvature)):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"iteration {iteration}: the metric's {name} is not finite")
         f_cur = -ev.value
         g = -ev.gradient * inv_scale
         b = ev.curvature * np.outer(inv_scale, inv_scale)
@@ -244,8 +247,7 @@ def optimize_level(
         trial = params.with_vector(params.as_vector() + step_scaled * inv_scale)
         try:
             trial_value = similarity.metric_value(
-                fixed, moving, trial, idx, cfg.num_bins, cfg.kernel_radius,
-                fixed_range, bin_table,
+                fixed, moving, trial, side, cfg.num_bins, cfg.kernel_radius, fixed_range,
             )
         except similarity.DegenerateHistogramError:
             trial_value = -np.inf

@@ -148,29 +148,77 @@ def bin_index_table(volume: Volume, value_range=None,
     return table
 
 
-class _SampleGeometry:
-    """Per-axis kernel weights and neighbor bins of one chunk's retained samples."""
+class Level:
+    """The constants every pass on one pair of level volumes shares.
 
-    __slots__ = (
-        "count", "points", "u", "du", "moving_bins", "b0", "b1", "wf0", "wf1",
-    )
+    Built once a level: the moving ``bin_index_table`` over ``moving_range``
+    (default: the moving volume's own range), the kernel's tap offsets and
+    ((2a)^3,) neighbor stencil, the escape bound, and the fixed bins over
+    ``fixed_range`` (default: the fixed volume's own range).
+    """
 
-    def __init__(self, fixed, moving, params, idx, num_bins, radius,
-                 fixed_range, bin_table, derivatives):
-        pts = fixed.points_of_flat(idx)
-        c = (transform.apply_many(params, pts) - moving.origin) / moving.spacing
+    def __init__(self, fixed: Volume, moving: Volume, num_bins: int = DEFAULT_NUM_BINS,
+                 radius: int = 2, fixed_range=None, moving_range=None):
+        if num_bins < 8:
+            raise ValueError("need at least 8 histogram bins")
+        if radius not in (1, 2, 3):
+            raise ValueError(f"kernel radius must be 1, 2 or 3, got {radius}")
+        self.fixed, self.moving = fixed, moving
+        self.num_bins, self.radius = num_bins, radius
+        self.fixed_range = fixed_range or fixed.intensity_range
+        self.bin_table = bin_index_table(moving, moving_range, num_bins)
+        self.offsets = np.arange(-(radius - 1), radius + 1)
+        # neighbor (i, j, k) is row (i*2a + j)*2a + k, the order of the
+        # (2a, 2a, 2a, n) outer product of the axis weights
+        nxm, nym, _ = moving.dims
+        offsets = self.offsets
+        self.stencil = (offsets[:, None, None] + nxm * (offsets[:, None] + nym * offsets)).ravel()
+        self.high = np.array(moving.dims) - 1 - radius
+
+    def matches(self, fixed, moving, num_bins, radius, fixed_range) -> bool:
+        return (self.fixed is fixed and self.moving is moving and self.num_bins == num_bins
+                and self.radius == radius
+                and self.fixed_range == (fixed_range or fixed.intensity_range))
+
+
+class FixedSide:
+    """What no transform changes in a draw: per ``_CHUNK`` of samples, their
+    points and fixed-intensity bin spread.  ``evaluate`` and the trial
+    ``metric_value`` on one draw share it."""
+
+    def __init__(self, level: Level, idx):
+        idx = np.asarray(idx)
+        if idx.size == 0:
+            raise DegenerateHistogramError("empty sample index set")
+        self.level, self.size = level, idx.size
+        fixed = level.fixed
+        self.chunks = [
+            (fixed.points_of_flat(part), _fixed_bin_spread(
+                fixed.flat_values()[part].astype(np.float64), *level.fixed_range,
+                level.num_bins))
+            for part in (idx[a : a + _CHUNK] for a in range(0, idx.size, _CHUNK))
+        ]
+
+
+class _Pass:
+    """Per-axis kernel weights and histogram cells of one chunk at one transform."""
+
+    __slots__ = ("count", "points", "u", "du", "b0", "b1", "wf0", "wf1", "blocks")
+
+    def __init__(self, level, params, points, spread, derivatives):
+        moving, radius = level.moving, level.radius
+        c = (transform.apply_many(params, points) - moving.origin) / moving.spacing
         base = np.floor(c).astype(np.int64)
-        dims = np.array(moving.dims)
-        ok = np.all((base >= radius - 1) & (base <= dims - 1 - radius), axis=1)
+        ok = np.all((base >= radius - 1) & (base <= level.high), axis=1)
         self.count = int(ok.sum())
         base = base[ok]
         frac = c[ok] - base
-        self.points = pts[ok]
+        self.points = points[ok]
+        self.b0, self.b1, self.wf0, self.wf1 = (a[ok] for a in spread)
 
         # (3, 2a, n) per-axis weights, renormalized to sum to 1 on each axis;
         # samples last, so the stencil products run over contiguous rows
-        offsets = np.arange(-(radius - 1), radius + 1)
-        t = frac.T[:, None, :] - offsets[:, None]
+        t = frac.T[:, None, :] - level.offsets[:, None]
         if derivatives:
             w, dw = hann_sinc(t, radius)
         else:
@@ -180,27 +228,21 @@ class _SampleGeometry:
         self.du = (dw / s - self.u * (dw.sum(axis=1, keepdims=True) / s)
                    if derivatives else None)
 
-        # ((2a)^3, n) neighbor bins; neighbor (i, j, k) is row (i*2a + j)*2a + k,
-        # the order of the (2a, 2a, 2a, n) outer product of the axis weights
+        # ((2a)^3, n) neighbor bins, cut into slices of at most ``_BLOCK``
+        # sample-neighbor pairs, each with its neighbors' cells in the
+        # slice's (samples, B) bin rows; the scatter and the gradient share them
         nxm, nym, _ = moving.dims
-        stencil = (offsets[:, None, None] + nxm * (offsets[:, None] + nym * offsets)).ravel()
         corner = base[:, 0] + nxm * (base[:, 1] + nym * base[:, 2])
-        self.moving_bins = bin_table[stencil[:, None] + corner]
-
-        self.b0, self.b1, self.wf0, self.wf1 = _fixed_bin_spread(
-            fixed.flat_values()[idx[ok]].astype(np.float64), *fixed_range, num_bins)
-
-    def _blocks(self, num_bins):
-        """Slices of at most ``_BLOCK`` sample-neighbor pairs over the samples,
-        each with its neighbors' cells in the block's (samples, B) bin rows."""
-        step = max(1, _BLOCK // self.moving_bins.shape[0])
+        moving_bins = level.bin_table[level.stencil[:, None] + corner]
+        step = max(1, _BLOCK // moving_bins.shape[0])
+        self.blocks = []
         for a in range(0, self.count, step):
-            mb = self.moving_bins[:, a : a + step]
-            yield slice(a, a + step), np.arange(mb.shape[1]) * num_bins + mb
+            mb = moving_bins[:, a : a + step]
+            self.blocks.append((slice(a, a + step), np.arange(mb.shape[1]) * level.num_bins + mb))
 
     def scatter_into(self, hist: np.ndarray, num_bins: int) -> None:
         """Add the samples' mass to the (B, B) histogram, block by block."""
-        for blk, cells in self._blocks(num_bins):
+        for blk, cells in self.blocks:
             ux, uy, uz = self.u[:, :, blk]
             w3 = ux[:, None, None] * uy[None, :, None] * uz[None, None, :]
             n = cells.shape[1]
@@ -217,7 +259,7 @@ class _SampleGeometry:
         rows = self.wf0[:, None] * dnmi[self.b0] + self.wf1[:, None] * dnmi[self.b1]
         k1 = self.u.shape[1]
         gc = np.empty((self.count, 3))
-        for blk, cells in self._blocks(len(dnmi)):
+        for blk, cells in self.blocks:
             coeff = rows[blk].ravel()[cells].reshape(k1, k1, k1, -1)
             # d(metric)/d(moving voxel coordinate): contract z, then y, then x,
             # differentiating one axis's weights at a time
@@ -235,44 +277,39 @@ class _SampleGeometry:
 
 
 def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                    fixed_range, bin_table, derivatives):
-    """Joint histogram of the draw, and each chunk's geometry if ``derivatives``.
+                    fixed_range, derivatives):
+    """Joint histogram of the draw, and each chunk's pass if ``derivatives``.
 
     The one pass behind ``accumulate``, ``metric_value`` and ``evaluate``.
+    ``idx`` is flat fixed indices or a ``FixedSide`` of these volumes and
+    settings.
     """
-    idx = np.asarray(idx)
-    if idx.size == 0:
-        raise DegenerateHistogramError("empty sample index set")
-    if num_bins < 8:
-        raise ValueError("need at least 8 histogram bins")
-    fixed_range = fixed_range or fixed.intensity_range
-    if bin_table is None:
-        bin_table = bin_index_table(moving, num_bins=num_bins)
-    elif bin_table.shape != (moving.num_voxels,):
-        raise ValueError(f"bin table holds {bin_table.size} voxels, not {moving.num_voxels}")
-
+    if isinstance(idx, FixedSide):
+        side = idx
+        if not side.level.matches(fixed, moving, num_bins, radius, fixed_range):
+            raise ValueError("the draw's level belongs to other volumes or settings")
+    else:
+        side = FixedSide(Level(fixed, moving, num_bins, radius, fixed_range), idx)
+    level = side.level
     bins = np.zeros((num_bins, num_bins))
     retained = 0
-    chunks = []
-    for start in range(0, idx.size, _CHUNK):
-        geom = _SampleGeometry(
-            fixed, moving, params, idx[start : start + _CHUNK], num_bins,
-            radius, fixed_range, bin_table, derivatives,
-        )
-        geom.scatter_into(bins, num_bins)
-        retained += geom.count
+    passes = []
+    for points, spread in side.chunks:
+        p = _Pass(level, params, points, spread, derivatives)
+        p.scatter_into(bins, num_bins)
+        retained += p.count
         if derivatives:
-            chunks.append(geom)
+            passes.append(p)
     if retained == 0:
         raise DegenerateHistogramError(
-            f"all {idx.size} samples escaped the moving volume"
+            f"all {side.size} samples escaped the moving volume"
         )
     return JointHistogram(
         bins=bins,
         total_weight=float(bins.sum()),
-        escaped=int(idx.size - retained),
+        escaped=int(side.size - retained),
         num_bins=num_bins,
-    ), chunks
+    ), passes
 
 
 def accumulate(
@@ -283,19 +320,19 @@ def accumulate(
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
     fixed_range=None,
-    bin_table=None,
 ) -> JointHistogram:
     """Partial-volume joint histogram over the sampled fixed voxels.
 
     Samples whose full kernel neighborhood leaves the moving volume are
-    dropped and counted in ``escaped``.  Fixed bins span ``fixed_range``
-    (default: the fixed volume's own range); moving bins are ``bin_table``,
-    the moving volume's ``bin_index_table`` for ``num_bins`` (default: one
-    over the moving volume's own range).  Build both on the full-resolution
-    ranges so bins mean the same at every pyramid level.
+    dropped and counted in ``escaped``.  ``idx`` is the draw's flat fixed
+    indices, or its ``FixedSide`` built on a ``Level`` of these volumes and
+    settings.  Fixed bins span ``fixed_range`` (default: the fixed volume's
+    own range); moving bins span the moving volume's own range, or the
+    ``Level``'s ``moving_range``.  Build both on the full-resolution ranges
+    so bins mean the same at every pyramid level.
     """
     return _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                           fixed_range, bin_table, False)[0]
+                           fixed_range, False)[0]
 
 
 def _clamped_plogp(p: np.ndarray) -> np.ndarray:
@@ -363,7 +400,6 @@ def evaluate(
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
     fixed_range=None,
-    bin_table=None,
 ) -> MetricEvaluation:
     """Sampled NMI with analytic gradient and Gauss-Newton curvature.
 
@@ -376,22 +412,24 @@ def evaluate(
     Symmetric positive semidefinite by construction.  Arguments are as in
     ``accumulate``.
     """
-    hist, chunks = _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                                   fixed_range, bin_table, True)
+    hist, passes = _histogram_pass(fixed, moving, params, idx, num_bins, radius,
+                                   fixed_range, True)
     value, dnmi = _nmi_and_cell_derivative(hist)
     gradient = np.zeros(6)
     curvature = np.zeros((6, 6))
-    for geom in chunks:
-        gs = geom.per_sample_gradients(dnmi, params, moving.spacing)
+    retained = 0
+    for p in passes:
+        gs = p.per_sample_gradients(dnmi, params, moving.spacing)
         gradient += gs.sum(axis=0)
         curvature += gs.T @ gs
-    curvature *= sum(geom.count for geom in chunks)
+        retained += p.count
+    curvature *= retained
     curvature = 0.5 * (curvature + curvature.T)
     return MetricEvaluation(
         value=value,
         gradient=gradient,
         curvature=curvature,
-        sample_size=int(np.size(idx)),
+        sample_size=hist.escaped + retained,
         escaped=hist.escaped,
     )
 
@@ -404,8 +442,7 @@ def metric_value(
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
     fixed_range=None,
-    bin_table=None,
 ) -> float:
     """NMI only, without kernel derivatives: the cheap path for trial points."""
     return nmi(accumulate(fixed, moving, params, idx, num_bins, radius,
-                          fixed_range, bin_table))
+                          fixed_range))

@@ -72,11 +72,7 @@ def test_dogleg_takes_a_steepest_descent_step_on_non_positive_curvature():
     np.testing.assert_allclose(step, -g / np.linalg.norm(g))
 
 
-@pytest.mark.parametrize("b", [
-    np.eye(6),
-    np.diag([1.0, -1.0, 0.0, 1.0, 1.0, 1.0]),
-    np.full((6, 6), np.nan),  # no finite Newton step: the zero-gradient guard answers
-])
+@pytest.mark.parametrize("b", [np.eye(6), np.diag([1.0, -1.0, 0.0, 1.0, 1.0, 1.0])])
 def test_dogleg_steps_nowhere_on_a_zero_gradient(b):
     step = optimizer._dogleg_step(np.zeros(6), b, radius=1.0)
     np.testing.assert_array_equal(step, np.zeros(6))
@@ -227,6 +223,28 @@ def test_a_trial_whose_samples_all_escape_is_rejected_and_cuts_the_radius(pair32
     for row in rows:
         assert (row["trial_value"], row["rho"], row["accepted"]) == (None, None, False)
         assert np.isfinite(row["value"])
+
+
+@pytest.mark.parametrize("which, fields", [
+    # a zero gradient with a NaN curvature once made a silent zero step
+    ("curvature", {"gradient": np.zeros(6), "curvature": np.full((6, 6), np.nan)}),
+    ("curvature", {"curvature": np.full((6, 6), np.nan)}),
+    ("gradient", {"gradient": np.array([0.0, 0.0, np.inf, 0.0, 0.0, 0.0])}),
+])
+def test_a_non_finite_metric_derivative_raises_naming_the_iteration(pair32, monkeypatch,
+                                                                     which, fields):
+    fixed, moving, gold, dist, rs = level_setup(pair32)
+    evaluate = similarity.evaluate
+    calls = []
+
+    def spoiled(*args):
+        calls.append(evaluate(*args))
+        return calls[-1] if len(calls) < 3 else replace(calls[-1], **fields)
+
+    monkeypatch.setattr(similarity, "evaluate", spoiled)
+    cfg = OptimizerConfig(num_bins=16, max_iters=5, rotation_scale=rs)
+    with pytest.raises(ValueError, match=f"iteration 2: the metric's {which} is not finite"):
+        optimizer.optimize_level(fixed, moving, dist, gold, cfg, make_rng(3))
 
 
 def test_optimize_level_requires_resolved_rotation_scale(pair32):

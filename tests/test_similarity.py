@@ -183,15 +183,13 @@ def test_integer_shift_of_periodic_pattern_reproduces_histogram():
     ident = transform.RigidParams.identity(fixed.center_mm)
     shift = transform.RigidParams(t=(1.0, 0, 0), center=fixed.center_mm)
     f_range = fixed.intensity_range
-    h_ref = similarity.accumulate(
-        fixed, fixed, ident, idx, num_bins=16, fixed_range=f_range,
-        bin_table=similarity.bin_index_table(fixed, f_range, 16),
-    )
-    h_shift = similarity.accumulate(
-        fixed, moving, shift, idx, num_bins=16, fixed_range=f_range,
-        bin_table=similarity.bin_index_table(moving, f_range, 16),
-    )
-    np.testing.assert_allclose(h_shift.bins, h_ref.bins, atol=1e-9)
+
+    def hist(moving, params):
+        level = similarity.Level(fixed, moving, 16, 2, f_range, f_range)
+        return similarity.accumulate(fixed, moving, params, similarity.FixedSide(level, idx),
+                                     num_bins=16, fixed_range=f_range)
+
+    np.testing.assert_allclose(hist(moving, shift).bins, hist(fixed, ident).bins, atol=1e-9)
 
 
 def test_empty_index_set_is_degenerate(phantom32):
@@ -465,7 +463,7 @@ def dense_reference(fixed, moving, params, idx, num_bins, radius):
     """Gradient and curvature through materialised (3, (2a)^3, n) kernel
     derivative tensors, the contraction the separable one replaces."""
     hist, chunks = similarity._histogram_pass(
-        fixed, moving, params, idx, num_bins, radius, None, None, True
+        fixed, moving, params, idx, num_bins, radius, None, True
     )
     _, dnmi = similarity._nmi_and_cell_derivative(hist)
     dnmi = dnmi.ravel()
@@ -476,13 +474,14 @@ def dense_reference(fixed, moving, params, idx, num_bins, radius):
         dux, duy, duz = g.du
 
         def outer(a, b, c):
-            return np.einsum("is,js,ks->ijks", a, b, c).reshape(g.moving_bins.shape)
+            return np.einsum("is,js,ks->ijks", a, b, c).reshape(-1, g.count)
 
         dweights = np.stack(
             [outer(dux, uy, uz), outer(ux, duy, uz), outer(ux, uy, duz)], axis=0
         )
-        cells0 = g.b0 * num_bins + g.moving_bins
-        cells1 = g.b1 * num_bins + g.moving_bins
+        moving_bins = np.concatenate([cells % num_bins for _, cells in g.blocks], axis=1)
+        cells0 = g.b0 * num_bins + moving_bins
+        cells1 = g.b1 * num_bins + moving_bins
         coeff = g.wf0 * dnmi[cells0] + g.wf1 * dnmi[cells1]
         gc = np.einsum("ks,aks->sa", coeff, dweights) / moving.spacing
         gs = np.einsum("sa,sak->sk", gc, transform.jacobian_many(params, g.points))
@@ -526,19 +525,21 @@ def test_bin_index_table_matches_per_voxel_bins(monkeypatch):
     np.testing.assert_array_equal(similarity.bin_index_table(flat, None, 16), 0)
 
 
-def test_bin_table_must_belong_to_the_moving_volume(pair32, phantom32):
+def test_a_fixed_side_must_belong_to_the_volumes_and_settings(pair32):
     fixed, moving, _ = pair32
+    copy = Volume(data=fixed.data, spacing=fixed.spacing, origin=fixed.origin)
     params = transform.RigidParams.identity(fixed.center_mm)
     idx = interior_indices(fixed)
-    table = similarity.bin_index_table(moving, None, 16)
-    h = similarity.accumulate(fixed, moving, params, idx, bin_table=table)
+    side = similarity.FixedSide(similarity.Level(fixed, moving, 16, 2), idx)
+    h = similarity.accumulate(fixed, moving, params, side, 16, 2)
     np.testing.assert_array_equal(
         h.bins, similarity.accumulate(fixed, moving, params, idx).bins
     )
-    small = Volume(data=np.ones((4, 4, 4)), spacing=(1, 1, 1))
-    with pytest.raises(ValueError, match="bin table"):
-        similarity.evaluate(fixed, moving, params, idx,
-                            bin_table=similarity.bin_index_table(small, None, 16))
+    for args in ((fixed, copy, 16, 2, None), (copy, moving, 16, 2, None),
+                 (fixed, moving, 8, 2, None), (fixed, moving, 16, 1, None),
+                 (fixed, moving, 16, 2, (0.0, 1.0))):
+        with pytest.raises(ValueError, match="other volumes or settings"):
+            similarity.evaluate(args[0], args[1], params, side, *args[2:])
 
 
 def test_alternating_registrations_match_runs_alone():
