@@ -227,9 +227,8 @@ def optimize_level(
             draws += 1
         side = similarity.FixedSide(level, idx)
         try:
-            ev = similarity.evaluate(
-                fixed, moving, params, side, cfg.num_bins, cfg.kernel_radius, fixed_range,
-            )
+            ev = similarity.evaluate(fixed, moving, params, side, cfg.num_bins,
+                                     cfg.kernel_radius, fixed_range)
         except similarity.DegenerateHistogramError as e:
             raise InitializationOutsideOverlapError(
                 f"iteration {iteration}: {e}"
@@ -246,9 +245,8 @@ def optimize_level(
         predicted = -(g @ step_scaled + 0.5 * step_scaled @ b @ step_scaled)
         trial = params.with_vector(params.as_vector() + step_scaled * inv_scale)
         try:
-            trial_value = similarity.metric_value(
-                fixed, moving, trial, side, cfg.num_bins, cfg.kernel_radius, fixed_range,
-            )
+            trial_value = similarity.metric_value(fixed, moving, trial, side, cfg.num_bins,
+                                                  cfg.kernel_radius, fixed_range)
         except similarity.DegenerateHistogramError:
             trial_value = -np.inf
         f_trial = -trial_value

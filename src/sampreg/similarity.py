@@ -10,16 +10,23 @@ the histogram depends on the transform only through those kernel weights,
 the NMI gradient follows from the kernel's analytic derivative chained with
 the transform Jacobian; no image-gradient term appears.
 
-A moving voxel's bin does not depend on the transform, so a caller that
-evaluates many transforms on one volume builds ``bin_index_table`` once; a
-sample reads its neighbors' bins with one integer gather, kept ((2a)^3, n),
-neighbor-major.  A sample keeps only its three per-axis weight vectors (and
-their derivatives), so no draw is too large to keep between passes.  Per
-block of samples, one ``np.bincount`` sums each sample's neighbor weights
-into its row of moving bins, and one (B, n) x (n, B) product with the fixed
-side's two-bin spread adds the rows to the histogram.  The gradient gathers
-each neighbor's cell derivative and contracts it against the weights axis
-by axis (as in Thevenaz & Unser, IEEE TIP 2000).
+Each piece of work is done once, where it changes.  Per level, a
+``Level`` holds the moving volume's ``bin_index_table``, the ((2a)^3,)
+neighbor stencil and the escape bound.  Per draw, a ``FixedSide`` holds the
+samples' (3, n) points and fixed-intensity bin spread, which ``evaluate``
+and the trial ``metric_value`` share.  Per transform, a pass maps the
+points, takes each axis's kernel weights from one sine and one cosine
+(``hann_sinc``) and gathers the neighbors' bins into ((2a)^3, n) histogram
+cells.  Per block of samples, one ``np.bincount`` sums each sample's
+neighbor weights into its row of moving bins, and one product with the
+(n, B) fixed-bin spread matrix adds the rows to the histogram.  The
+gradient reuses the cells: one product of the spread matrix with
+d(NMI)/d(cell) gives each sample's bin row, which it gathers and contracts
+against the weights axis by axis (as in Thevenaz & Unser, IEEE TIP 2000),
+then chains to the angles through the samples' offsets from the rotation
+centre.  Draws are passed ``_CHUNK`` samples at a time; ``evaluate``
+rebuilds all passes but the last for the gradient, so that a large draw
+holds one chunk's cells at a time.
 
 The windowed sinc has negative lobes, so cells can go negative.  Mass is
 accumulated signed and log arguments are clamped at 1e-12, so a negative
@@ -31,6 +38,7 @@ The coarser default (``DEFAULT_NUM_BINS``) keeps the share near 1%.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +54,9 @@ _LOG_CLAMP = 1e-12
 # alignment signal, and registration stalls near its start; with 16 bins
 # it converges from 0.05% to 1% of the voxels.
 DEFAULT_NUM_BINS = 16
-# Histogram mass is summed per run of this many samples, then added to the total.
-_CHUNK = 131072
+# Histogram mass is summed per run of this many samples, then added to the
+# total; a pass holds one run's cells, weights and temporaries at a time.
+_CHUNK = 32768
 # Elements per vectorized pass (sample-neighbor pairs, or voxels in
 # ``bin_index_table``), so that a pass's float64 arrays stay in cache.
 _BLOCK = 32768
@@ -78,38 +87,72 @@ class MetricEvaluation:
     escaped: int
 
 
-def hann_sinc(t, radius: int, derivative: bool = True):
-    """Hanning-windowed sinc kernel weight and its t-derivative.
+def _tap_rows(radius: int):
+    """Each tap's terms as rows of coefficients on (1, g, cos x, sin x).
 
-    weight(t) = sinc(t) * (0.5 + 0.5*cos(pi*t/radius)) for |t| < radius,
-    0 outside; both weight and derivative are continuous at |t| = radius.
-    With ``derivative=False`` only the weight is computed and returned.
-    Only sin x and cos x, x = pi*t/radius, are evaluated: sin(pi*t) and
-    cos(pi*t) follow by the double- and triple-angle identities.
+    For a fraction g <= 1/2 and x = pi*g/a, tap o (t = g - o) weighs
+    sinc(t) * (1 + cos(x - pi*o/a)), up to a factor common to all taps.
+    As sinc(t) = (-1)^o sin(pi*g) / (pi*t), dividing by sin(pi*g) / (pi*g)
+    leaves (-1)^o g / t, or 1 at o = 0.  So the value rows are t (1 at
+    o = 0), that numerator and the window; the derivative rows are the
+    window's and -(-1)^o o, so that d/dg ((-1)^o g / t) = -(-1)^o o / t^2.
+    The kernel is even, so a fraction above 1/2 is 1 - frac with its taps
+    reversed and its derivatives negated: a second set of coefficients.
+    """
+    o = np.arange(1 - radius, radius + 1)
+    near, far, sign = (o == 0) * 1.0, (o != 0) * 1.0, 1.0 - 2.0 * (o % 2)
+    # cos and sin of pi*o/a exactly: the cosines are multiples of 1/2
+    cos_o = np.round(2.0 * np.cos(np.pi * o / radius)) / 2.0
+    sin_o = np.sign(np.round(np.sin(np.pi * o / radius), 9)) * np.sqrt(1.0 - cos_o**2)
+    zero = np.zeros(2 * radius)
+
+    def rows(sign, *columns):  # groups of 2a rows, one column per term
+        taps = np.array(columns).reshape(-1, 4, 2 * radius).transpose(0, 2, 1)
+        return np.concatenate([taps, sign * taps[:, ::-1] - taps], axis=2).reshape(-1, 8)
+
+    return (rows(1.0, near - far * o, far, zero, zero, near, far * sign, zero, zero,
+                 zero + 1.0, zero, cos_o, sin_o),
+            rows(-1.0, zero, zero, (np.pi / radius) * sin_o, (-np.pi / radius) * cos_o,
+                 -sign * o, zero, zero, zero))
+
+
+_TAP_ROWS = {radius: _tap_rows(radius) for radius in (1, 2, 3)}
+
+
+def hann_sinc(frac, radius: int, derivative: bool = True):
+    """Per-axis kernel weights at the 2a taps of each fraction, renormalized
+    to sum to 1, and their derivatives with respect to the fraction.
+
+    The kernel is sinc(t) * (0.5 + 0.5*cos(pi*t/a)) for |t| < a, at
+    t = frac - o for the tap offsets o = 1-a .. a; ``frac`` in [0, 1) of
+    shape S gives arrays of shape (2a,) + S, only the weights with
+    ``derivative=False``.  One cosine and one sine a fraction: each tap's
+    terms are fixed combinations of them (``_tap_rows``), taken in one
+    matrix product, and none divides by a distance below 1/2.
     """
     if radius not in (1, 2, 3):
         raise ValueError(f"kernel radius must be 1, 2 or 3, got {radius}")
-    t = np.asarray(t, dtype=np.float64)
-    x = (np.pi / radius) * t
-    s, c = np.sin(x), np.cos(x)
-    # sinc(t) = (sin x / x) * (1, cos x, or 1 - 4/3 sin^2 x)
-    sinc = np.divide(s, x, out=np.ones_like(x), where=x != 0)
-    if radius > 1:
-        sinc *= c if radius == 2 else 1.0 - (4.0 / 3.0) * s * s
-    inside = np.abs(t) < radius
-    win = 0.5 + 0.5 * c
-    w = np.where(inside, sinc * win, 0.0)
+    value_rows, deriv_rows = _TAP_ROWS[radius]
+    frac = np.asarray(frac, dtype=np.float64)
+    shape, frac = (2 * radius,) + frac.shape, frac.reshape(-1)
+    # (1, g, cos x, sin x), then the same for fractions above 1/2 only
+    terms = np.ones((8, frac.size))
+    np.minimum(frac, 1.0 - frac, out=terms[1])
+    x = (np.pi / radius) * terms[1]
+    np.cos(x, out=terms[2])
+    np.sin(x, out=terms[3])
+    np.multiply(terms[:4], frac > 0.5, out=terms[4:])
+    den, num, win = (value_rows @ terms).reshape(3, 2 * radius, -1)
+    q = num / den
+    h = q * win
+    inv = 1.0 / h.sum(axis=0)
+    u = h * inv
     if not derivative:
-        return w
-    cos_pt = (c if radius == 1 else 1.0 - 2.0 * s * s if radius == 2
-              else c * (4.0 * c * c - 3.0))
-    # d sinc/dt = (cos(pi t) - sinc t) / t, or its series -pi^2 t / 3 where
-    # the difference cancels (|t| < 1e-4, truncation error below 4e-12)
-    ds = np.multiply(t, -np.pi**2 / 3.0, out=np.empty_like(t))
-    np.divide(cos_pt - sinc, t, out=ds, where=np.abs(t) >= 1e-4)
-    dwin = (-0.5 * np.pi / radius) * s
-    dw = np.where(inside, ds * win + sinc * dwin, 0.0)
-    return w, dw
+        return u.reshape(shape)
+    dwin, k = (deriv_rows @ terms).reshape(2, 2 * radius, -1)
+    dh = k / (den * den) * win + q * dwin
+    du = (dh - u * dh.sum(axis=0)) * inv
+    return u.reshape(shape), du.reshape(shape)
 
 
 def _fixed_bin_spread(values: np.ndarray, lo: float, hi: float, num_bins: int):
@@ -149,13 +192,10 @@ def bin_index_table(volume: Volume, value_range=None,
 
 
 class Level:
-    """The constants every pass on one pair of level volumes shares.
-
-    Built once a level: the moving ``bin_index_table`` over ``moving_range``
-    (default: the moving volume's own range), the kernel's tap offsets and
-    ((2a)^3,) neighbor stencil, the escape bound, and the fixed bins over
-    ``fixed_range`` (default: the fixed volume's own range).
-    """
+    """What every pass on one pair of level volumes shares, built once a
+    level: the moving ``bin_index_table`` over ``moving_range`` (default:
+    the moving volume's own range), the ((2a)^3,) neighbor stencil, the
+    escape bound, and ``fixed_range`` (default: the fixed volume's own)."""
 
     def __init__(self, fixed: Volume, moving: Volume, num_bins: int = DEFAULT_NUM_BINS,
                  radius: int = 2, fixed_range=None, moving_range=None):
@@ -163,37 +203,30 @@ class Level:
             raise ValueError("need at least 8 histogram bins")
         if radius not in (1, 2, 3):
             raise ValueError(f"kernel radius must be 1, 2 or 3, got {radius}")
-        self.fixed, self.moving = fixed, moving
-        self.num_bins, self.radius = num_bins, radius
-        self.fixed_range = fixed_range or fixed.intensity_range
+        self.key = (fixed, moving, num_bins, radius, fixed_range or fixed.intensity_range)
+        self.fixed, self.moving, self.num_bins, self.radius, self.fixed_range = self.key
         self.bin_table = bin_index_table(moving, moving_range, num_bins)
-        self.offsets = np.arange(-(radius - 1), radius + 1)
         # neighbor (i, j, k) is row (i*2a + j)*2a + k, the order of the
         # (2a, 2a, 2a, n) outer product of the axis weights
         nxm, nym, _ = moving.dims
-        offsets = self.offsets
+        offsets = np.arange(1 - radius, radius + 1)
         self.stencil = (offsets[:, None, None] + nxm * (offsets[:, None] + nym * offsets)).ravel()
-        self.high = np.array(moving.dims) - 1 - radius
-
-    def matches(self, fixed, moving, num_bins, radius, fixed_range) -> bool:
-        return (self.fixed is fixed and self.moving is moving and self.num_bins == num_bins
-                and self.radius == radius
-                and self.fixed_range == (fixed_range or fixed.intensity_range))
+        self.strides = np.array([1.0, nxm, nxm * nym])
+        self.high = (np.array(moving.dims) - 1 - radius)[:, None]
 
 
 class FixedSide:
     """What no transform changes in a draw: per ``_CHUNK`` of samples, their
-    points and fixed-intensity bin spread.  ``evaluate`` and the trial
-    ``metric_value`` on one draw share it."""
+    (3, n) points and the spread of their fixed intensities over two bins.
+    ``evaluate`` and the trial ``metric_value`` on one draw share it."""
 
     def __init__(self, level: Level, idx):
         idx = np.asarray(idx)
         if idx.size == 0:
             raise DegenerateHistogramError("empty sample index set")
-        self.level, self.size = level, idx.size
-        fixed = level.fixed
+        self.level, self.size, fixed = level, idx.size, level.fixed
         self.chunks = [
-            (fixed.points_of_flat(part), _fixed_bin_spread(
+            (np.ascontiguousarray(fixed.points_of_flat(part).T), _fixed_bin_spread(
                 fixed.flat_values()[part].astype(np.float64), *level.fixed_range,
                 level.num_bins))
             for part in (idx[a : a + _CHUNK] for a in range(0, idx.size, _CHUNK))
@@ -201,115 +234,98 @@ class FixedSide:
 
 
 class _Pass:
-    """Per-axis kernel weights and histogram cells of one chunk at one transform."""
+    """One chunk of a draw at one transform: its retained samples' offsets
+    from the rotation centre, (n, B) fixed-bin spread matrix, per-axis
+    weights (and derivatives) and neighbors' histogram cells."""
 
-    __slots__ = ("count", "points", "u", "du", "b0", "b1", "wf0", "wf1", "blocks")
+    __slots__ = ("count", "offsets", "spread", "u", "du", "blocks")
 
     def __init__(self, level, params, points, spread, derivatives):
-        moving, radius = level.moving, level.radius
-        c = (transform.apply_many(params, points) - moving.origin) / moving.spacing
-        base = np.floor(c).astype(np.int64)
-        ok = np.all((base >= radius - 1) & (base <= level.high), axis=1)
-        self.count = int(ok.sum())
-        base = base[ok]
-        frac = c[ok] - base
-        self.points = points[ok]
-        self.b0, self.b1, self.wf0, self.wf1 = (a[ok] for a in spread)
+        moving = level.moving
+        # moving voxel coordinates of R (p - centre) + centre + t, (3, n)
+        rot = transform.rotation_matrix(params.r) / moving.spacing[:, None]
+        v = points - params.center[:, None]
+        c = rot @ v + ((params.center + params.t - moving.origin) / moving.spacing)[:, None]
+        base = np.floor(c)
+        ok = np.all((base >= level.radius - 1) & (base <= level.high), axis=0)
+        self.count = int(np.count_nonzero(ok))
+        if self.count < ok.size:
+            c, base, v, spread = c[:, ok], base[:, ok], v[:, ok], [a[ok] for a in spread]
+        self.offsets = v
+        b0, b1, wf0, wf1 = spread
+        at = np.arange(self.count)
+        self.spread = np.zeros((self.count, level.num_bins))
+        self.spread[at, b0] = wf0
+        self.spread[at, b1] += wf1
 
-        # (3, 2a, n) per-axis weights, renormalized to sum to 1 on each axis;
-        # samples last, so the stencil products run over contiguous rows
-        t = frac.T[:, None, :] - level.offsets[:, None]
-        if derivatives:
-            w, dw = hann_sinc(t, radius)
-        else:
-            w, dw = hann_sinc(t, radius, derivative=False), None
-        s = w.sum(axis=1, keepdims=True)
-        self.u = w / s
-        self.du = (dw / s - self.u * (dw.sum(axis=1, keepdims=True) / s)
-                   if derivatives else None)
+        # (2a, 3, n) per-axis weights; samples last, so the stencil products
+        # run over contiguous rows
+        kernel = hann_sinc(c - base, level.radius, derivatives)
+        self.u, self.du = kernel if derivatives else (kernel, None)
 
         # ((2a)^3, n) neighbor bins, cut into slices of at most ``_BLOCK``
         # sample-neighbor pairs, each with its neighbors' cells in the
         # slice's (samples, B) bin rows; the scatter and the gradient share them
-        nxm, nym, _ = moving.dims
-        corner = base[:, 0] + nxm * (base[:, 1] + nym * base[:, 2])
+        corner = (level.strides @ base).astype(np.int64)
         moving_bins = level.bin_table[level.stencil[:, None] + corner]
         step = max(1, _BLOCK // moving_bins.shape[0])
-        self.blocks = []
-        for a in range(0, self.count, step):
-            mb = moving_bins[:, a : a + step]
-            self.blocks.append((slice(a, a + step), np.arange(mb.shape[1]) * level.num_bins + mb))
+        self.blocks = [(blk, (at[blk] - blk.start) * level.num_bins + moving_bins[:, blk])
+                       for blk in (slice(a, a + step) for a in range(0, self.count, step))]
 
-    def scatter_into(self, hist: np.ndarray, num_bins: int) -> None:
+    def scatter_into(self, hist: np.ndarray) -> None:
         """Add the samples' mass to the (B, B) histogram, block by block."""
+        num_bins = len(hist)
         for blk, cells in self.blocks:
-            ux, uy, uz = self.u[:, :, blk]
-            w3 = ux[:, None, None] * uy[None, :, None] * uz[None, None, :]
+            ux, uy, uz = self.u[:, :, blk].transpose(1, 0, 2)
+            w3 = (ux[:, None] * uy)[:, :, None] * uz
             n = cells.shape[1]
             rows = np.bincount(cells.ravel(), w3.ravel(), n * num_bins).reshape(n, num_bins)
-            fx = np.zeros_like(rows)
-            at = np.arange(n)
-            fx[at, self.b0[blk]] = self.wf0[blk]
-            fx[at, self.b1[blk]] += self.wf1[blk]
-            hist += fx.T @ rows
+            hist += self.spread[blk].T @ rows
 
-    def per_sample_gradients(self, dnmi: np.ndarray, params, spacing):
-        """(n_retained, 6) metric-gradient contribution of each sample."""
-        # d(metric)/d(neighbor weight), gathered per sample from its two bin rows
-        rows = self.wf0[:, None] * dnmi[self.b0] + self.wf1[:, None] * dnmi[self.b1]
-        k1 = self.u.shape[1]
-        gc = np.empty((self.count, 3))
+    def gradients(self, dnmi: np.ndarray, params, spacing):
+        """(6, n_retained) metric-gradient contribution of each sample."""
+        # d(metric)/d(neighbor weight) for each sample and moving bin
+        rows = self.spread @ dnmi
+        k1 = self.u.shape[0]
+        gc = np.empty((3, self.count))
         for blk, cells in self.blocks:
             coeff = rows[blk].ravel()[cells].reshape(k1, k1, k1, -1)
             # d(metric)/d(moving voxel coordinate): contract z, then y, then x,
             # differentiating one axis's weights at a time
-            ux, uy, uz = self.u[:, :, blk]
-            dux, duy, duz = self.du[:, :, blk]
+            ux, uy, uz = self.u[:, :, blk].transpose(1, 0, 2)
+            dux, duy, duz = self.du[:, :, blk].transpose(1, 0, 2)
             cz = (coeff * uz).sum(axis=2)
             dcz = (coeff * duz).sum(axis=2)
-            gc[blk, 0] = ((cz * uy).sum(axis=1) * dux).sum(axis=0)
-            gc[blk, 1] = ((cz * duy).sum(axis=1) * ux).sum(axis=0)
-            gc[blk, 2] = ((dcz * uy).sum(axis=1) * ux).sum(axis=0)
-        # chain to mm and to theta
-        gc /= spacing
-        jac = transform.jacobian_many(params, self.points)
-        return np.einsum("sa,sak->sk", gc, jac)
+            gc[0, blk] = ((cz * uy).sum(axis=1) * dux).sum(axis=0)
+            gc[1, blk] = ((cz * duy).sum(axis=1) * ux).sum(axis=0)
+            gc[2, blk] = ((dcz * uy).sum(axis=1) * ux).sum(axis=0)
+        # chain to mm, and to the angles through d(R v)/d(angle) = (dR/d angle) v
+        gc /= spacing[:, None]
+        drot = transform.rotation_derivatives(params.r) @ self.offsets
+        return np.concatenate([gc, (drot * gc).sum(axis=1)])
 
 
-def _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                    fixed_range, derivatives):
-    """Joint histogram of the draw, and each chunk's pass if ``derivatives``.
+def _histogram_pass(fixed, moving, params, idx, num_bins, radius, fixed_range, derivatives):
+    """Joint histogram of the draw, its ``FixedSide`` and its last chunk's pass.
 
-    The one pass behind ``accumulate``, ``metric_value`` and ``evaluate``.
-    ``idx`` is flat fixed indices or a ``FixedSide`` of these volumes and
-    settings.
+    The one pass behind ``accumulate``, ``metric_value`` and ``evaluate``;
+    ``idx`` is as in ``accumulate``.  Each chunk's pass but the last is
+    dropped once scattered, and ``derivatives`` asks for the last one's.
     """
-    if isinstance(idx, FixedSide):
-        side = idx
-        if not side.level.matches(fixed, moving, num_bins, radius, fixed_range):
-            raise ValueError("the draw's level belongs to other volumes or settings")
-    else:
-        side = FixedSide(Level(fixed, moving, num_bins, radius, fixed_range), idx)
-    level = side.level
+    if not isinstance(idx, FixedSide):
+        idx = FixedSide(Level(fixed, moving, num_bins, radius, fixed_range), idx)
+    elif idx.level.key != (fixed, moving, num_bins, radius, fixed_range or fixed.intensity_range):
+        raise ValueError("the draw's level belongs to other volumes or settings")
     bins = np.zeros((num_bins, num_bins))
     retained = 0
-    passes = []
-    for points, spread in side.chunks:
-        p = _Pass(level, params, points, spread, derivatives)
-        p.scatter_into(bins, num_bins)
-        retained += p.count
-        if derivatives:
-            passes.append(p)
+    for points, spread in idx.chunks:
+        last = _Pass(idx.level, params, points, spread, derivatives and points is idx.chunks[-1][0])
+        last.scatter_into(bins)
+        retained += last.count
     if retained == 0:
-        raise DegenerateHistogramError(
-            f"all {side.size} samples escaped the moving volume"
-        )
-    return JointHistogram(
-        bins=bins,
-        total_weight=float(bins.sum()),
-        escaped=int(side.size - retained),
-        num_bins=num_bins,
-    ), passes
+        raise DegenerateHistogramError(f"all {idx.size} samples escaped the moving volume")
+    return JointHistogram(bins=bins, total_weight=float(bins.sum()),
+                          escaped=int(idx.size - retained), num_bins=num_bins), idx, last
 
 
 def accumulate(
@@ -325,14 +341,12 @@ def accumulate(
 
     Samples whose full kernel neighborhood leaves the moving volume are
     dropped and counted in ``escaped``.  ``idx`` is the draw's flat fixed
-    indices, or its ``FixedSide`` built on a ``Level`` of these volumes and
-    settings.  Fixed bins span ``fixed_range`` (default: the fixed volume's
-    own range); moving bins span the moving volume's own range, or the
-    ``Level``'s ``moving_range``.  Build both on the full-resolution ranges
-    so bins mean the same at every pyramid level.
+    indices, or its ``FixedSide`` on a ``Level`` of these volumes and
+    settings.  Fixed bins span ``fixed_range``, moving bins the ``Level``'s
+    ``moving_range`` (defaults: each volume's own range); build both on the
+    full-resolution ranges so bins mean the same at every pyramid level.
     """
-    return _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                           fixed_range, False)[0]
+    return _histogram_pass(fixed, moving, params, idx, num_bins, radius, fixed_range, False)[0]
 
 
 def _clamped_plogp(p: np.ndarray) -> np.ndarray:
@@ -412,26 +426,20 @@ def evaluate(
     Symmetric positive semidefinite by construction.  Arguments are as in
     ``accumulate``.
     """
-    hist, passes = _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                                   fixed_range, True)
+    hist, side, last = _histogram_pass(fixed, moving, params, idx, num_bins, radius,
+                                       fixed_range, True)
     value, dnmi = _nmi_and_cell_derivative(hist)
-    gradient = np.zeros(6)
-    curvature = np.zeros((6, 6))
-    retained = 0
-    for p in passes:
-        gs = p.per_sample_gradients(dnmi, params, moving.spacing)
-        gradient += gs.sum(axis=0)
-        curvature += gs.T @ gs
-        retained += p.count
-    curvature *= retained
+    gradient, curvature = np.zeros(6), np.zeros((6, 6))
+    # the passes of all chunks but the last are rebuilt one at a time
+    rebuilt = (_Pass(side.level, params, *chunk, True) for chunk in side.chunks[:-1])
+    for p in itertools.chain(rebuilt, [last]):
+        gs = p.gradients(dnmi, params, moving.spacing)
+        gradient += gs.sum(axis=1)
+        curvature += gs @ gs.T
+    curvature *= side.size - hist.escaped
     curvature = 0.5 * (curvature + curvature.T)
-    return MetricEvaluation(
-        value=value,
-        gradient=gradient,
-        curvature=curvature,
-        sample_size=hist.escaped + retained,
-        escaped=hist.escaped,
-    )
+    return MetricEvaluation(value=value, gradient=gradient, curvature=curvature,
+                            sample_size=side.size, escaped=hist.escaped)
 
 
 def metric_value(

@@ -104,8 +104,8 @@ def apply_many(params: RigidParams, pts: np.ndarray) -> np.ndarray:
     return (pts - params.center) @ rot.T + (params.center + params.t)
 
 
-def _rotation_derivative_factors(r):
-    """The three 3x3 matrices d(Rz Ry Rx)/d(rx, ry, rz)."""
+def rotation_derivatives(r) -> np.ndarray:
+    """(3, 3, 3): the three 3x3 matrices d(Rz Ry Rx)/d(rx, ry, rz)."""
     rx, ry, rz = np.asarray(r, dtype=np.float64)
     ca, sa = math.cos(rx), math.sin(rx)
     cb, sb = math.cos(ry), math.sin(ry)
@@ -116,11 +116,7 @@ def _rotation_derivative_factors(r):
     drx = np.array([[0.0, 0.0, 0.0], [0.0, -sa, -ca], [0.0, ca, -sa]])
     dry = np.array([[-sb, 0.0, cb], [0.0, 0.0, 0.0], [-cb, 0.0, -sb]])
     drz = np.array([[-sc, -cc, 0.0], [cc, -sc, 0.0], [0.0, 0.0, 0.0]])
-    return (
-        mrz @ mry @ drx,
-        mrz @ dry @ mrx,
-        drz @ mry @ mrx,
-    )
+    return np.stack([mrz @ mry @ drx, mrz @ dry @ mrx, drz @ mry @ mrx])
 
 
 def jacobian_many(params: RigidParams, pts: np.ndarray) -> np.ndarray:
@@ -130,8 +126,7 @@ def jacobian_many(params: RigidParams, pts: np.ndarray) -> np.ndarray:
     n = v.shape[0]
     jac = np.empty((n, 3, 6))
     jac[:, :, :3] = np.eye(3)
-    for k, d in enumerate(_rotation_derivative_factors(params.r)):
-        jac[:, :, 3 + k] = v @ d.T
+    jac[:, :, 3:] = np.einsum("kab,nb->nak", rotation_derivatives(params.r), v)
     return jac
 
 

@@ -45,58 +45,6 @@ def symmetric_volume(n=24):
 # ---------------------------------------------------------------------------
 
 
-def test_hann_sinc_center_values():
-    w, dw = similarity.hann_sinc(np.array([0.0]), 2)
-    assert w[0] == pytest.approx(1.0, abs=1e-15)
-    assert dw[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_hann_sinc_zero_at_integers():
-    w, _ = similarity.hann_sinc(np.array([1.0, -1.0]), 2)
-    np.testing.assert_allclose(w, 0.0, atol=1e-15)
-
-
-def test_hann_sinc_half_offset_value():
-    # sinc(0.5) * (0.5 + 0.5*cos(pi/4)) = (2/pi) * 0.8535533906
-    w, _ = similarity.hann_sinc(np.array([0.5]), 2)
-    want = (2.0 / np.pi) * (0.5 + 0.5 * np.cos(np.pi / 4))
-    assert w[0] == pytest.approx(want, abs=1e-12)
-    assert w[0] == pytest.approx(0.5433890, abs=1e-6)
-
-
-def test_hann_sinc_vanishes_at_support_edge():
-    for a in (1, 2, 3):
-        t = np.array([a - 1e-7, -(a - 1e-7), float(a), a + 0.5])
-        w, dw = similarity.hann_sinc(t, a)
-        np.testing.assert_allclose(w[:2], 0.0, atol=1e-6)
-        np.testing.assert_allclose(dw[:2], dw[:2][::-1] * -1, atol=1e-12)
-        np.testing.assert_array_equal(w[2:], 0.0)
-        np.testing.assert_array_equal(dw[2:], 0.0)
-
-
-def test_hann_sinc_derivative_matches_finite_differences():
-    rng = make_rng(40)
-    t = rng.uniform(-1.9, 1.9, 200)
-    h = 1e-6
-    _, dw = similarity.hann_sinc(t, 2)
-    wp, _ = similarity.hann_sinc(t + h, 2)
-    wm, _ = similarity.hann_sinc(t - h, 2)
-    np.testing.assert_allclose(dw, (wp - wm) / (2 * h), atol=1e-7)
-
-
-def test_hann_sinc_is_even_in_t():
-    t = np.linspace(0.01, 1.99, 50)
-    wp, dwp = similarity.hann_sinc(t, 2)
-    wm, dwm = similarity.hann_sinc(-t, 2)
-    np.testing.assert_allclose(wp, wm, atol=1e-14)
-    np.testing.assert_allclose(dwp, -dwm, atol=1e-14)
-
-
-def test_hann_sinc_rejects_unsupported_radius():
-    with pytest.raises(ValueError):
-        similarity.hann_sinc(np.array([0.0]), 4)
-
-
 def literal_hann_sinc(t, a):
     """The kernel's defining formula and its analytic t-derivative."""
     inside = np.abs(t) < a
@@ -112,20 +60,99 @@ def literal_hann_sinc(t, a):
             np.where(inside, dsinc * win + sinc * dwin, 0.0))
 
 
+def literal_axis_weights(frac, a):
+    """(2a, n) renormalized weights at the taps t = frac - o, o = 1-a .. a,
+    and their frac-derivatives, from the literal kernel."""
+    w, dw = literal_hann_sinc(frac[None, :] - np.arange(1 - a, a + 1)[:, None], a)
+    total = w.sum(axis=0)
+    u = w / total
+    return u, (dw - u * dw.sum(axis=0)) / total
+
+
+def test_hann_sinc_center_values():
+    # a sample on a voxel puts all its weight there, and moving it shifts
+    # weight between the two neighbors at t = +-1
+    for a in (1, 2, 3):
+        u, du = similarity.hann_sinc(np.array([0.0]), a)
+        assert u[a - 1, 0] == 1.0 and du[a - 1, 0] == 0.0
+        np.testing.assert_allclose(du, literal_axis_weights(np.zeros(1), a)[1], atol=1e-15)
+
+
+def test_hann_sinc_zero_at_integers():
+    for a in (1, 2, 3):
+        u, _ = similarity.hann_sinc(np.array([0.0]), a)
+        np.testing.assert_array_equal(np.delete(u, a - 1, axis=0), 0.0)
+
+
+def test_hann_sinc_vanishes_at_support_edge():
+    for a in (1, 2, 3):
+        # the farthest tap (t = -a) sits on the edge, and stays near it
+        u, du = similarity.hann_sinc(np.array([0.0, 1e-7]), a)
+        np.testing.assert_array_equal(u[-1, 0], 0.0)
+        np.testing.assert_array_equal(du[-1, 0], 0.0)
+        np.testing.assert_allclose(u[-1, 1], 0.0, atol=1e-6)
+
+
+def test_hann_sinc_half_offset_value():
+    # taps at t = 1.5, 0.5, -0.5, -1.5: the kernel's values there, renormalized
+    u, du = similarity.hann_sinc(np.array([0.5]), 2)
+    inner = (2.0 / np.pi) * (0.5 + 0.5 * np.cos(np.pi / 4))
+    outer = (-2.0 / (3.0 * np.pi)) * (0.5 + 0.5 * np.cos(3 * np.pi / 4))
+    want = np.array([outer, inner, inner, outer]) / (2 * (inner + outer))
+    np.testing.assert_allclose(u[:, 0], want, atol=1e-15)
+    # symmetric taps: the derivative is antisymmetric
+    np.testing.assert_allclose(du[:, 0], -du[::-1, 0], atol=1e-14)
+
+
+def test_hann_sinc_derivative_matches_finite_differences():
+    rng = make_rng(40)
+    h = 1e-6
+    for a in (1, 2, 3):
+        frac = rng.uniform(h, 1 - h, 200)
+        _, du = similarity.hann_sinc(frac, a)
+        up, _ = similarity.hann_sinc(frac + h, a)
+        um, _ = similarity.hann_sinc(frac - h, a)
+        np.testing.assert_allclose(du, (up - um) / (2 * h), atol=1e-7)
+
+
+def test_hann_sinc_is_even_in_t():
+    # fractions f and 1 - f see the same taps in mirror order
+    frac = np.linspace(0.01, 0.99, 50)
+    for a in (1, 2, 3):
+        u, du = similarity.hann_sinc(frac, a)
+        um, dum = similarity.hann_sinc(1.0 - frac, a)
+        np.testing.assert_allclose(u, um[::-1], atol=1e-15)
+        np.testing.assert_allclose(du, -dum[::-1], atol=1e-14)
+
+
+def test_hann_sinc_keeps_the_shape_of_its_fractions():
+    frac = make_rng(41).random((3, 7))
+    u, du = similarity.hann_sinc(frac, 3)
+    assert u.shape == du.shape == (6, 3, 7)
+    flat_u, flat_du = similarity.hann_sinc(frac.ravel(), 3)
+    np.testing.assert_array_equal(u.reshape(6, -1), flat_u)
+    np.testing.assert_array_equal(du.reshape(6, -1), flat_du)
+
+
+def test_hann_sinc_rejects_unsupported_radius():
+    with pytest.raises(ValueError):
+        similarity.hann_sinc(np.array([0.0]), 4)
+
+
 @settings(max_examples=300, deadline=None)
 @given(radius=st.sampled_from([1, 2, 3]),
-       drawn=st.lists(st.floats(-4.0, 4.0), max_size=40))
+       drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
 def test_hann_sinc_matches_its_defining_formula(radius, drawn):
-    forced = [0.0, 1e-9, -1e-9, radius, -radius, *range(-4, 5)]
-    t = np.array(forced + drawn)
-    want_w, want_dw = literal_hann_sinc(t, radius)
-    w, dw = similarity.hann_sinc(t, radius)
-    np.testing.assert_array_equal(similarity.hann_sinc(t, radius, derivative=False), w)
-    np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-10)
-    outside = np.abs(t) >= radius
-    np.testing.assert_array_equal(w[outside], 0.0)
-    np.testing.assert_array_equal(dw[outside], 0.0)
+    # 0 is every sample at an identity start on a matching grid; fractions
+    # just below 1 put a tap just past t = 0
+    forced = [0.0, 5e-324, 1e-300, 1e-17, 1e-9, 1e-4, 0.25, np.nextafter(0.5, 0), 0.5,
+              np.nextafter(0.5, 1), 0.75, 1 - 1e-4, 1 - 1e-9, 1 - 1e-12, np.nextafter(1.0, 0)]
+    frac = np.array(forced + drawn)
+    want_u, want_du = literal_axis_weights(frac, radius)
+    u, du = similarity.hann_sinc(frac, radius)
+    np.testing.assert_array_equal(similarity.hann_sinc(frac, radius, derivative=False), u)
+    np.testing.assert_allclose(u, want_u, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(du, want_du, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +470,24 @@ def test_metric_value_is_evaluate_value_bit_for_bit(pair32, radius):
     assert similarity.metric_value(fixed, moving, params, idx, radius=radius) == ev.value
 
 
+@pytest.mark.parametrize("chunk", [None, 300])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_a_trial_on_the_shared_fixed_side_is_evaluate_value_bit_for_bit(pair32, monkeypatch,
+                                                                        radius, chunk):
+    fixed, moving, _ = pair32
+    if chunk:
+        monkeypatch.setattr(similarity, "_CHUNK", chunk)
+    rng = make_rng(54, radius)
+    idx = np.flatnonzero(rng.random(fixed.num_voxels) < 0.05)
+    side = similarity.FixedSide(similarity.Level(fixed, moving, 16, radius), idx)
+    assert len(side.chunks) == (1 if chunk is None else -(-idx.size // chunk))
+    for _ in range(3):
+        params = random_rigid_params(rng, fixed.center_mm)
+        trial = similarity.metric_value(fixed, moving, params, side, 16, radius)
+        assert trial == similarity.evaluate(fixed, moving, params, side, 16, radius).value
+        assert trial == similarity.metric_value(fixed, moving, params, idx, 16, radius)
+
+
 def test_draw_spanning_several_chunks(pair32, monkeypatch):
     fixed, moving, _ = pair32
     rng = make_rng(50)
@@ -459,38 +504,6 @@ def test_draw_spanning_several_chunks(pair32, monkeypatch):
     np.testing.assert_allclose(many.curvature, one.curvature, rtol=1e-10, atol=1e-14)
 
 
-def dense_reference(fixed, moving, params, idx, num_bins, radius):
-    """Gradient and curvature through materialised (3, (2a)^3, n) kernel
-    derivative tensors, the contraction the separable one replaces."""
-    hist, chunks = similarity._histogram_pass(
-        fixed, moving, params, idx, num_bins, radius, None, True
-    )
-    _, dnmi = similarity._nmi_and_cell_derivative(hist)
-    dnmi = dnmi.ravel()
-    gradient = np.zeros(6)
-    curvature = np.zeros((6, 6))
-    for g in chunks:
-        ux, uy, uz = g.u
-        dux, duy, duz = g.du
-
-        def outer(a, b, c):
-            return np.einsum("is,js,ks->ijks", a, b, c).reshape(-1, g.count)
-
-        dweights = np.stack(
-            [outer(dux, uy, uz), outer(ux, duy, uz), outer(ux, uy, duz)], axis=0
-        )
-        moving_bins = np.concatenate([cells % num_bins for _, cells in g.blocks], axis=1)
-        cells0 = g.b0 * num_bins + moving_bins
-        cells1 = g.b1 * num_bins + moving_bins
-        coeff = g.wf0 * dnmi[cells0] + g.wf1 * dnmi[cells1]
-        gc = np.einsum("ks,aks->sa", coeff, dweights) / moving.spacing
-        gs = np.einsum("sa,sak->sk", gc, transform.jacobian_many(params, g.points))
-        gradient += gs.sum(axis=0)
-        curvature += gs.T @ gs
-    curvature *= idx.size - hist.escaped
-    return gradient, 0.5 * (curvature + curvature.T)
-
-
 @pytest.mark.parametrize("radius", [1, 2, 3])
 def test_separable_contraction_matches_dense_reference(pair32, radius):
     fixed, moving, _ = pair32
@@ -498,10 +511,7 @@ def test_separable_contraction_matches_dense_reference(pair32, radius):
     for _ in range(3):
         params = random_rigid_params(rng, fixed.center_mm, t_mm=6.0, r_rad=0.2)
         idx = np.flatnonzero(rng.random(fixed.num_voxels) < 0.03)
-        ev = similarity.evaluate(fixed, moving, params, idx, num_bins=16, radius=radius)
-        grad, curv = dense_reference(fixed, moving, params, idx, 16, radius)
-        assert np.abs(ev.gradient - grad).max() <= 1e-12 * np.abs(grad).max()
-        assert np.abs(ev.curvature - curv).max() <= 1e-12 * np.abs(curv).max()
+        assert_pass_matches_reference(fixed, moving, params, idx, 16, radius)
 
 
 def test_bin_index_table_matches_per_voxel_bins(monkeypatch):
@@ -614,22 +624,22 @@ def test_histogram_mass_is_the_retained_count(property_pair, t, r, rate, draw_se
     assert ev.escaped == h.escaped and ev.sample_size == idx.size
 
 
-def reference_histogram(fixed, moving, params, idx, num_bins, radius):
-    """Joint histogram summed term by term with ``np.add.at``: every retained
-    sample adds, for each of its (2a)^3 neighbors and both fixed bins, the
-    fixed bin's linear share times the product of the neighbor's three
-    normalised ``hann_sinc`` weights, at (fixed bin, neighbor's moving bin)."""
-    c = (transform.apply_many(params, fixed.points_of_flat(idx)) - moving.origin)
-    c = c / moving.spacing
+def reference_pass(fixed, moving, params, idx, num_bins, radius):
+    """Joint histogram, gradient and curvature summed term by term from the
+    literal kernel.  Every retained sample adds, for each of its (2a)^3
+    neighbors and both fixed bins, the fixed bin's linear share times the
+    product of the neighbor's three renormalized axis weights, at (fixed
+    bin, neighbor's moving bin), with ``np.add.at``.  Its gradient
+    contribution is the same sum over d(NMI)/d(cell) times the product's
+    derivative, chained through ``transform.jacobian_many``."""
+    pts = fixed.points_of_flat(idx)
+    c = (transform.apply_many(params, pts) - moving.origin) / moving.spacing
     base = np.floor(c).astype(np.int64)
     dims = np.array(moving.dims)
     ok = np.all((base >= radius - 1) & (base <= dims - 1 - radius), axis=1)
-    base, frac = base[ok], c[ok] - base[ok]
+    base, frac, pts = base[ok], c[ok] - base[ok], pts[ok]
     offsets = np.arange(1 - radius, radius + 1)
-    weights = []
-    for axis in range(3):
-        w = similarity.hann_sinc(frac[:, axis, None] - offsets, radius, derivative=False)
-        weights.append(w / w.sum(axis=1, keepdims=True))
+    weights = [literal_axis_weights(frac[:, axis], radius) for axis in range(3)]
 
     lo, hi = fixed.intensity_range
     bc = (fixed.flat_values()[idx[ok]].astype(np.float64) - lo) * (num_bins / (hi - lo)) - 0.5
@@ -641,20 +651,37 @@ def reference_histogram(fixed, moving, params, idx, num_bins, radius):
                                   * (num_bins / (mhi - mlo))), 0, num_bins - 1).astype(int)
 
     ref = np.zeros((num_bins, num_bins))
+    terms = []
     for i, j, k in np.ndindex(2 * radius, 2 * radius, 2 * radius):
         x, y, z = (base + offsets[[i, j, k]]).T
-        w = weights[0][:, i] * weights[1][:, j] * weights[2][:, k]
+        (ux, dux), (uy, duy), (uz, duz) = (
+            (u[n], du[n]) for (u, du), n in zip(weights, (i, j, k)))
+        w = ux * uy * uz
+        dw = np.stack([dux * uy * uz, ux * duy * uz, ux * uy * duz], axis=1)
         for fbin, share in fixed_sides:
             np.add.at(ref, (fbin, moving_bin[x, y, z]), share * w)
-    return ref
+            terms.append((fbin, moving_bin[x, y, z], share[:, None] * dw))
+    if not ref.any():
+        return ref, None, None
+    hist = JointHistogram(bins=ref, total_weight=float(ref.sum()), escaped=0, num_bins=num_bins)
+    _, dnmi = similarity._nmi_and_cell_derivative(hist)
+    gc = sum(dnmi[fbin, mbin][:, None] * dshare for fbin, mbin, dshare in terms)
+    gs = np.einsum("sa,sak->sk", gc / moving.spacing, transform.jacobian_many(params, pts))
+    curvature = (gs.T @ gs) * ok.sum()
+    return ref, gs.sum(axis=0), 0.5 * (curvature + curvature.T)
 
 
-def assert_histogram_matches_reference(fixed, moving, params, idx, num_bins, radius):
-    ref = reference_histogram(fixed, moving, params, idx, num_bins, radius)
+def assert_pass_matches_reference(fixed, moving, params, idx, num_bins, radius):
+    """``accumulate``'s histogram and ``evaluate``'s gradient and curvature
+    against ``reference_pass``, each within 1e-12 of its largest entry."""
+    ref, gradient, curvature = reference_pass(fixed, moving, params, idx, num_bins, radius)
     if not ref.any():
         return
     h = similarity.accumulate(fixed, moving, params, idx, num_bins, radius)
     assert np.abs(h.bins - ref).max() <= 1e-12 * np.abs(ref).max()
+    ev = similarity.evaluate(fixed, moving, params, idx, num_bins, radius)
+    assert np.abs(ev.gradient - gradient).max() <= 1e-12 * np.abs(gradient).max()
+    assert np.abs(ev.curvature - curvature).max() <= 1e-12 * np.abs(curvature).max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -671,7 +698,27 @@ def test_histogram_matches_a_term_by_term_reference(property_pair, t, r, rate, d
     fixed, moving = property_pair
     params = transform.RigidParams(t=t, r=r, center=fixed.center_mm)
     idx = np.flatnonzero(make_rng(draw_seed).random(fixed.num_voxels) < rate)
-    assert_histogram_matches_reference(fixed, moving, params, idx, num_bins, radius)
+    assert_pass_matches_reference(fixed, moving, params, idx, num_bins, radius)
+
+
+@pytest.mark.parametrize("shift", [0.0, -1e-12, 1e-12])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_samples_on_the_escape_boundary_match_the_reference(pair32, radius, shift):
+    # on a matching grid every x fraction is 0, or just below 1 after a tiny
+    # negative shift; samples on the x planes where a stencil reaches the
+    # grid's edge are kept or escape by that hair (y and z stay inside)
+    fixed, moving, _ = pair32
+    assert moving.same_grid(fixed)
+    x, y, z = fixed.coords_of_flat(np.arange(fixed.num_voxels)).T
+    low, high = radius - 1, fixed.dims[0] - 1 - radius
+    inside = (np.minimum(y, z) > low) & (np.maximum(y, z) < high)
+    idx = np.flatnonzero(inside & np.isin(x, [low - 1, low, low + 1, high - 1, high, high + 1]))
+    params = transform.RigidParams(t=(shift, 0.3, -0.4), center=fixed.center_mm)
+    retained = retained_reference(fixed, moving, params, idx, radius)
+    assert 0 < retained < idx.size
+    h = similarity.accumulate(fixed, moving, params, idx, 16, radius)
+    assert h.escaped == idx.size - retained
+    assert_pass_matches_reference(fixed, moving, params, idx, 16, radius)
 
 
 @pytest.mark.parametrize("radius, block", [(1, 1000), (2, 1000), (3, 1000), (3, 100)])
@@ -687,4 +734,4 @@ def test_histogram_over_several_chunks_and_blocks_matches_the_reference(
     # _BLOCK is below the (2a)^3 neighbors of a sample)
     assert idx.size > 3 * similarity._CHUNK
     assert max(1, block // (2 * radius) ** 3) < similarity._CHUNK // 2
-    assert_histogram_matches_reference(fixed, moving, params, idx, 16, radius)
+    assert_pass_matches_reference(fixed, moving, params, idx, 16, radius)
