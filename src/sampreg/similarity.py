@@ -103,7 +103,7 @@ def _tap_rows(radius: int):
     near, far, sign = (o == 0) * 1.0, (o != 0) * 1.0, 1.0 - 2.0 * (o % 2)
     # cos and sin of pi*o/a exactly: the cosines are multiples of 1/2
     cos_o = np.round(2.0 * np.cos(np.pi * o / radius)) / 2.0
-    sin_o = np.sign(np.round(np.sin(np.pi * o / radius), 9)) * np.sqrt(1.0 - cos_o**2)
+    sin_o = np.sign(np.sin(np.pi * o / radius)) * np.sqrt(1.0 - cos_o**2)
     zero = np.zeros(2 * radius)
 
     def rows(sign, *columns):  # groups of 2a rows, one column per term
