@@ -55,8 +55,8 @@ _LOG_CLAMP = 1e-12
 # it converges from 0.05% to 1% of the voxels.
 DEFAULT_NUM_BINS = 16
 # Histogram mass is summed per run of this many samples, then added to the
-# total; a pass holds one run's cells, weights and temporaries at a time.
-_CHUNK = 32768
+# total; a pass holds one run's cells and weights at a time (size: see README).
+_CHUNK = 16384
 # Elements per vectorized pass (sample-neighbor pairs, or voxels in
 # ``bin_index_table``), so that a pass's float64 arrays stay in cache.
 _BLOCK = 32768
@@ -452,5 +452,4 @@ def metric_value(
     fixed_range=None,
 ) -> float:
     """NMI only, without kernel derivatives: the cheap path for trial points."""
-    return nmi(accumulate(fixed, moving, params, idx, num_bins, radius,
-                          fixed_range))
+    return nmi(accumulate(fixed, moving, params, idx, num_bins, radius, fixed_range))

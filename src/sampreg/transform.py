@@ -126,7 +126,8 @@ def jacobian_many(params: RigidParams, pts: np.ndarray) -> np.ndarray:
     n = v.shape[0]
     jac = np.empty((n, 3, 6))
     jac[:, :, :3] = np.eye(3)
-    jac[:, :, 3:] = np.einsum("kab,nb->nak", rotation_derivatives(params.r), v)
+    for k, d in enumerate(rotation_derivatives(params.r)):
+        jac[:, :, 3 + k] = v @ d.T
     return jac
 
 

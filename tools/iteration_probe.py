@@ -1,7 +1,7 @@
 """Time one optimizer iteration against the draw size M.
 
 Level 1 of a seeded 96-cube phantom pair, mixed sampler with beta 0.5,
-identity start.  For each M, one iteration's time is a K-iteration
+identity start.  For each M, one iteration's time is a K = 10 iteration
 ``optimizer.optimize_level`` call minus a zero-iteration call on the same
 inputs (which leaves the level's per-call set-up), divided by the
 iterations that ran.  The script reaches the library only through
@@ -9,10 +9,10 @@ iterations that ran.  The script reaches the library only through
 
     python3 tools/iteration_probe.py                  # this checkout's src/
     python3 tools/iteration_probe.py --src ../other/src
-    python3 tools/iteration_probe.py --smoke          # 32-cube, a few repeats
+    python3 tools/iteration_probe.py --smoke          # 32-cube, K = 3, 2 repeats
 
-Each row prints the median over the repeats, which alternate between the
-K-iteration and the zero-iteration call.
+Each row prints the median over 20 repeats (2 with ``--smoke``), which
+alternate between the K-iteration and the zero-iteration call.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DRAW_SIZES = (25, 100, 442, 1769, 8847)
 BETA = 0.5
 SEED = 21
+REPEATS, ITERS = 20, 10
 
 
 def main(argv=None) -> int:
@@ -34,12 +35,8 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=str(ROOT / "src"),
                    help="directory holding the sampreg package (default: this checkout's)")
     p.add_argument("--smoke", action="store_true", help="32-cube pair, 2 repeats, 3 iterations")
-    p.add_argument("--repeats", type=int, default=None, help="timed pairs of calls per M")
-    p.add_argument("--iters", type=int, default=None, help="iterations K of the timed call")
     args = p.parse_args(argv)
-    size = 32 if args.smoke else 96
-    repeats = args.repeats or (2 if args.smoke else 40)
-    iters = args.iters or (3 if args.smoke else 10)
+    size, repeats, iters = (32, 2, 3) if args.smoke else (96, REPEATS, ITERS)
 
     sys.path.insert(0, args.src)
     from sampreg import bench, optimizer, sampler
