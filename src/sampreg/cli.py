@@ -5,7 +5,8 @@ registration), train (learn per-level mixing weights), sweep (batch
 trials to CSV), mask (export one sampling draw as a volume).
 
 Settings resolve as defaults <- --config JSON file <- explicit flags, and
-a --config key must name a field of ``RunConfig`` or ``OptimizerConfig``.  The
+a --config key must name a field of ``RunConfig`` or ``OptimizerConfig``.  What
+follows from the volumes (bin ranges, rotation scale) is not a setting.  The
 resolved settings plus seed are embedded in every JSON/CSV output (a
 sidecar .provenance.json accompanies binary volume outputs, whose header
 format is fixed).  Exit codes: 0 success, 1 runtime failure (a ValueError
@@ -56,7 +57,7 @@ class RunConfig:
 
 
 # The JSON values a --config key accepts, by the annotated type of its field.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(None),)}
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _check_config_types(loaded: dict) -> None:
@@ -64,10 +65,8 @@ def _check_config_types(loaded: dict) -> None:
     hints = {**typing.get_type_hints(RunConfig), **typing.get_type_hints(OptimizerConfig)}
     for key, value in loaded.items():
         hint = hints[key]
-        allowed = tuple(t for h in typing.get_args(hint) or (hint,) for t in _JSON_TYPES[h])
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            name = getattr(hint, "__name__", str(hint))
-            raise UsageError(f"--config: {key} must be {name}, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint]):
+            raise UsageError(f"--config: {key} must be {hint.__name__}, got {value!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -129,6 +128,8 @@ def _parse_params(text: str) -> list:
         values = [float(p) for p in parts]
     except ValueError as e:
         raise UsageError(f"--params: {e}") from e
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"--params: values must be finite, got {text!r}")
     return values
 
 
@@ -166,8 +167,8 @@ def cmd_phantom(args) -> int:
         raise UsageError(f"--seed: must be non-negative, got {args.seed}")
     if not args.gamma > 0:
         raise UsageError(f"--gamma: must be positive, got {args.gamma}")
-    if not args.noise >= 0:
-        raise UsageError(f"--noise: must be non-negative, got {args.noise}")
+    if not 0 <= args.noise < np.inf:
+        raise UsageError(f"--noise: must be non-negative and finite, got {args.noise}")
     if not args.make_moving and (args.params or args.gold):
         raise UsageError("--params/--gold: only meaningful with --make-moving")
     if args.make_moving and args.params is None:
@@ -241,6 +242,9 @@ def _load_manifest(path) -> list:
             if isinstance(gold, str):
                 with open(base / gold) as f:
                     gold = json.load(f)
+                if not isinstance(gold, dict):
+                    raise UsageError(f"--pairs: entry {i}: gold file {entry['gold']} "
+                                     "must hold a JSON object")
                 gold = gold.get("transform", gold)
             pairs.append(TrainingPair(
                 fixed=fixed, moving=moving,
@@ -317,6 +321,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_mask(args) -> int:
     cfg = resolve_config(args)
+    if args.level < 1:
+        raise UsageError(f"--level: must be at least 1, got {args.level}")
     beta = (_load_betas_flag(args.betas, [args.level], "--level")[args.level]
             if cfg.sampler == "mixed" else None)
     volume = _load_1mm(args.volume, "--volume")
@@ -350,8 +356,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--initial-radius", dest="initial_radius", type=float)
     p.add_argument("--min-radius", dest="min_radius", type=float)
     p.add_argument("--damping", type=float)
-    p.add_argument("--rotation-scale", dest="rotation_scale", type=float,
-                   help="mm per radian in the trust region (default: half diagonal)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ their own weights.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,8 @@ class OptimizerConfig:
     histogram and its spread kernel (see ``similarity.evaluate``).
 
     Radii live in scaled parameter units: translations in mm, rotations in
-    radians times ``rotation_scale`` (mm per radian).  ``rotation_scale``
-    left as None means half the fixed volume's diagonal, so a radian costs
-    a comparable boundary displacement.
+    radians times half the full-resolution fixed volume's diagonal (mm per
+    radian), so a radian costs a comparable boundary displacement.
 
     A level stops when the radius falls below ``min_radius``, after
     ``max_iters`` iterations, or once it is stationary (see ``_stationary``).
@@ -86,17 +85,20 @@ class OptimizerConfig:
     initial_radius: float = 1.0
     min_radius: float = 1e-3
     damping: float = 1e-8
-    rotation_scale: float | None = None
 
     def __post_init__(self):
         if self.num_bins < 8:
             raise ValueError(f"num_bins must be at least 8, got {self.num_bins}")
         if self.kernel_radius not in (1, 2, 3):
             raise ValueError(f"kernel_radius must be 1, 2 or 3, got {self.kernel_radius}")
+        if not self.initial_radius < np.inf:
+            raise ValueError(f"initial_radius must be finite, got {self.initial_radius}")
         if not 0 < self.min_radius < self.initial_radius:
             raise ValueError("need 0 < min_radius < initial_radius")
-        if self.max_iters < 0 or self.damping < 0:
-            raise ValueError("max_iters and damping must be nonnegative")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if not 0 <= self.damping < np.inf:
+            raise ValueError(f"damping must be finite and nonnegative, got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -187,10 +189,13 @@ def optimize_level(
     params0: RigidParams,
     cfg: OptimizerConfig,
     rng: np.random.Generator,
-    fixed_range=None,
-    moving_range=None,
+    full=None,
 ):
     """Maximize sampled NMI from params0; returns (params, trace).
+
+    ``full`` is the full-resolution (fixed, moving) pair of this level
+    (default: the level's own volumes).  Bins span its intensity ranges at
+    every level, and a radian costs half its fixed volume's diagonal in mm.
 
     The trace dict has "termination" ("radius", "stationary" or "budget";
     see ``OptimizerConfig``) and "rows", one
@@ -201,13 +206,13 @@ def optimize_level(
     draws in a row the level raises ``EmptyDrawError``.  A metric gradient
     or curvature that is not finite raises ``ValueError``.
     """
-    if cfg.rotation_scale is None:
-        raise ValueError("rotation_scale must be resolved before optimize_level")
-    scale = np.array([1.0, 1.0, 1.0] + [cfg.rotation_scale] * 3)
+    full_fixed, full_moving = full or (fixed, moving)
+    lo, hi = full_fixed.bounds
+    scale = np.array([1.0, 1.0, 1.0] + [0.5 * float(np.linalg.norm(hi - lo))] * 3)
     inv_scale = 1.0 / scale
 
     level = similarity.Level(fixed, moving, cfg.num_bins, cfg.kernel_radius,
-                             fixed_range, moving_range)
+                             full_fixed.intensity_range, full_moving.intensity_range)
     params = params0
     radius = cfg.initial_radius
     moves = []
@@ -228,7 +233,7 @@ def optimize_level(
         side = similarity.FixedSide(level, idx)
         try:
             ev = similarity.evaluate(fixed, moving, params, side, cfg.num_bins,
-                                     cfg.kernel_radius, fixed_range)
+                                     cfg.kernel_radius)
         except similarity.DegenerateHistogramError as e:
             raise InitializationOutsideOverlapError(
                 f"iteration {iteration}: {e}"
@@ -246,7 +251,7 @@ def optimize_level(
         trial = params.with_vector(params.as_vector() + step_scaled * inv_scale)
         try:
             trial_value = similarity.metric_value(fixed, moving, trial, side, cfg.num_bins,
-                                                  cfg.kernel_radius, fixed_range)
+                                                  cfg.kernel_radius)
         except similarity.DegenerateHistogramError:
             trial_value = -np.inf
         f_trial = -trial_value
@@ -319,7 +324,7 @@ def prepare(fixed: Volume, moving: Volume, num_levels: int = 4) -> PreparedPair:
     """Build both pyramids and the per-level gradient sources once.
 
     Everything else a run needs (intensity ranges, centre, rotation scale)
-    is cheap and is read from the volumes by ``register``.
+    is cheap and is read from the volumes when the run needs it.
     """
     _require_1mm(fixed, "fixed")
     _require_1mm(moving, "moving")
@@ -388,9 +393,6 @@ def register(
     start = time.perf_counter()
     if prepared is None:
         prepared = prepare(fixed, moving, num_levels)
-    if cfg.rotation_scale is None:
-        lo, hi = fixed.bounds
-        cfg = replace(cfg, rotation_scale=0.5 * float(np.linalg.norm(hi - lo)))
 
     notes: list = []
     params = RigidParams.identity(fixed.center_mm) if init is None else init
@@ -407,8 +409,7 @@ def register(
             params, trace = optimize_level(
                 prepared.fixed_pyramid.level(r),
                 prepared.moving_pyramid.level(r),
-                dist, params, cfg, make_rng(seed, _LEVEL_STREAM, r),
-                fixed.intensity_range, moving.intensity_range,
+                dist, params, cfg, make_rng(seed, _LEVEL_STREAM, r), (fixed, moving),
             )
         except REGISTRATION_FAILURES as e:
             raise type(e)(f"level {r}: {e}") from e

@@ -71,9 +71,15 @@ class JointHistogram:
     """B x B co-occurrence table of fixed vs moving intensity bins."""
 
     bins: np.ndarray
-    total_weight: float
     escaped: int
-    num_bins: int
+
+    @property
+    def total_weight(self) -> float:
+        return float(self.bins.sum())
+
+    @property
+    def num_bins(self) -> int:
+        return len(self.bins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +209,9 @@ class Level:
             raise ValueError("need at least 8 histogram bins")
         if radius not in (1, 2, 3):
             raise ValueError(f"kernel radius must be 1, 2 or 3, got {radius}")
-        self.key = (fixed, moving, num_bins, radius, fixed_range or fixed.intensity_range)
-        self.fixed, self.moving, self.num_bins, self.radius, self.fixed_range = self.key
+        self.key = (fixed, moving, num_bins, radius)
+        self.fixed, self.moving, self.num_bins, self.radius = self.key
+        self.fixed_range = fixed_range or fixed.intensity_range
         self.bin_table = bin_index_table(moving, moving_range, num_bins)
         # neighbor (i, j, k) is row (i*2a + j)*2a + k, the order of the
         # (2a, 2a, 2a, n) outer product of the axis weights
@@ -305,7 +312,7 @@ class _Pass:
         return np.concatenate([gc, (drot * gc).sum(axis=1)])
 
 
-def _histogram_pass(fixed, moving, params, idx, num_bins, radius, fixed_range, derivatives):
+def _histogram_pass(fixed, moving, params, idx, num_bins, radius, derivatives):
     """Joint histogram of the draw, its ``FixedSide`` and its last chunk's pass.
 
     The one pass behind ``accumulate``, ``metric_value`` and ``evaluate``;
@@ -313,8 +320,8 @@ def _histogram_pass(fixed, moving, params, idx, num_bins, radius, fixed_range, d
     dropped once scattered, and ``derivatives`` asks for the last one's.
     """
     if not isinstance(idx, FixedSide):
-        idx = FixedSide(Level(fixed, moving, num_bins, radius, fixed_range), idx)
-    elif idx.level.key != (fixed, moving, num_bins, radius, fixed_range or fixed.intensity_range):
+        idx = FixedSide(Level(fixed, moving, num_bins, radius), idx)
+    elif idx.level.key != (fixed, moving, num_bins, radius):
         raise ValueError("the draw's level belongs to other volumes or settings")
     bins = np.zeros((num_bins, num_bins))
     retained = 0
@@ -324,8 +331,7 @@ def _histogram_pass(fixed, moving, params, idx, num_bins, radius, fixed_range, d
         retained += last.count
     if retained == 0:
         raise DegenerateHistogramError(f"all {idx.size} samples escaped the moving volume")
-    return JointHistogram(bins=bins, total_weight=float(bins.sum()),
-                          escaped=int(idx.size - retained), num_bins=num_bins), idx, last
+    return JointHistogram(bins=bins, escaped=int(idx.size - retained)), idx, last
 
 
 def accumulate(
@@ -335,18 +341,17 @@ def accumulate(
     idx,
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
-    fixed_range=None,
 ) -> JointHistogram:
     """Partial-volume joint histogram over the sampled fixed voxels.
 
     Samples whose full kernel neighborhood leaves the moving volume are
     dropped and counted in ``escaped``.  ``idx`` is the draw's flat fixed
-    indices, or its ``FixedSide`` on a ``Level`` of these volumes and
-    settings.  Fixed bins span ``fixed_range``, moving bins the ``Level``'s
-    ``moving_range`` (defaults: each volume's own range); build both on the
-    full-resolution ranges so bins mean the same at every pyramid level.
+    indices, whose bins span each volume's own range, or its ``FixedSide``
+    on a ``Level`` of these volumes and settings, whose bins span the
+    ``Level``'s ranges.  A pyramid level's ``Level`` takes the
+    full-resolution ranges, so bins mean the same at every level.
     """
-    return _histogram_pass(fixed, moving, params, idx, num_bins, radius, fixed_range, False)[0]
+    return _histogram_pass(fixed, moving, params, idx, num_bins, radius, False)[0]
 
 
 def _clamped_plogp(p: np.ndarray) -> np.ndarray:
@@ -413,7 +418,6 @@ def evaluate(
     idx,
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
-    fixed_range=None,
 ) -> MetricEvaluation:
     """Sampled NMI with analytic gradient and Gauss-Newton curvature.
 
@@ -426,8 +430,7 @@ def evaluate(
     Symmetric positive semidefinite by construction.  Arguments are as in
     ``accumulate``.
     """
-    hist, side, last = _histogram_pass(fixed, moving, params, idx, num_bins, radius,
-                                       fixed_range, True)
+    hist, side, last = _histogram_pass(fixed, moving, params, idx, num_bins, radius, True)
     value, dnmi = _nmi_and_cell_derivative(hist)
     gradient, curvature = np.zeros(6), np.zeros((6, 6))
     # the passes of all chunks but the last are rebuilt one at a time
@@ -449,7 +452,6 @@ def metric_value(
     idx,
     num_bins: int = DEFAULT_NUM_BINS,
     radius: int = 2,
-    fixed_range=None,
 ) -> float:
     """NMI only, without kernel derivatives: the cheap path for trial points."""
-    return nmi(accumulate(fixed, moving, params, idx, num_bins, radius, fixed_range))
+    return nmi(accumulate(fixed, moving, params, idx, num_bins, radius))

@@ -163,8 +163,9 @@ def _pool_workers(batch: int) -> int:
 class Registrations:
     """Batches of ``register`` calls on pairs prepared once, in order.
 
-    Each pair is prepared at ``num_levels`` first, and a pair that cannot be
-    is named by its index.  A run is (pair index, keyword arguments of
+    Each pair is prepared at ``num_levels`` first, and a pair whose volumes
+    ``prepare`` rejects (a ``ValueError``) is named by its index; any other
+    error there, such as running out of memory, propagates as raised.  A run is (pair index, keyword arguments of
     ``register`` other than ``cfg`` and ``prepared``); a batch returns one
     (final params, seconds) per run, with the error in place of the params
     where registration failed (``optimizer.REGISTRATION_FAILURES``).  Any
@@ -179,8 +180,8 @@ class Registrations:
         for i, pair in enumerate(pairs):
             try:
                 prepared.append(optimizer.prepare(pair.fixed, pair.moving, num_levels))
-            except Exception as e:
-                raise type(e)(f"pair {i}: {e}") from e
+            except ValueError as e:
+                raise ValueError(f"pair {i}: {e}") from e
         self._args = (pairs, prepared, cfg)
         workers = _pool_workers(batch)
         self._pool = None if workers <= 1 else ProcessPoolExecutor(

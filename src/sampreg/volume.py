@@ -49,8 +49,10 @@ class Volume:
             raise ValueError("volume contains non-finite voxel values")
         spacing = np.asarray(self.spacing, dtype=np.float64).reshape(3)
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        if np.any(spacing <= 0):
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        if not np.all((spacing > 0) & (spacing < np.inf)):
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
+        if not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -258,8 +260,8 @@ def _load_nifti(buf: bytes) -> Volume:
             f"expected {vox_offset + need} bytes total"
         )
     vox = np.frombuffer(buf, dtype=dt, count=nx * ny * nz, offset=vox_offset)
-    vals = vox.astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN and overflow are rejected below
+        vals = vox.astype(np.float64)
         if scl_slope != 0.0:
             vals = vals * float(scl_slope) + float(scl_inter)
         vals = vals.astype(np.float32)

@@ -176,6 +176,8 @@ def test_phantom_rejects_oversized_translation(tmp_path, capsys):
     (["--make-moving", "m.rvol", "--params", "25,0,0,0,0,0"], "--params"),
     (["--seed", "-3"], "--seed"),
     (["--make-moving", "m.rvol", "--params", "1,2,3,4,5,x"], "--params"),
+    (["--make-moving", "m.rvol", "--params=nan,0,0,0,0,0"], "--params"),
+    (["--make-moving", "m.rvol", "--params", GOLD_PARAMS, "--noise", "inf"], "--noise"),
 ])
 def test_phantom_usage_error_names_its_flag_and_writes_nothing(
         tmp_path, capsys, monkeypatch, flags, named):
@@ -215,6 +217,8 @@ def test_negative_seed_is_usage_error_naming_the_flag(cli_ws, manifest, tmp_path
     ("sweep", ["--samplers", "urs", "--rates", "x"], "--rates"),
     ("sweep", ["--samplers", "urs", "--trials", "0"], "--trials"),
     ("mask", ["--sampler", "mixed"], "--betas"),
+    ("mask", ["--sampler", "urs", "--level", "0"], "--level"),
+    ("mask", ["--sampler", "gms", "--level", "0"], "--level"),
 ])
 def test_usage_error_names_its_flag_and_writes_nothing(cli_ws, manifest, tmp_path, capsys,
                                                        monkeypatch, command, flags, named):
@@ -390,6 +394,29 @@ def test_register_rejects_histogram_settings(cli_ws, tmp_path, capsys, flag, val
     assert "optimizer settings" in err and field in err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--damping", "nan", "damping"),
+    ("--damping", "inf", "damping"),
+    ("--initial-radius", "inf", "initial_radius"),
+])
+def test_register_rejects_non_finite_trust_region_settings(cli_ws, tmp_path, capsys,
+                                                           flag, value, field):
+    out = tmp_path / "r.json"
+    rc = cli.main(register_args(cli_ws, out, "--sampler", "urs", flag, value))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "optimizer settings" in err and field in err
+    assert not out.exists()
+
+
+def test_register_has_no_rotation_scale_flag(cli_ws, tmp_path):
+    # a radian's cost follows from the fixed volume; it is not a setting
+    with pytest.raises(SystemExit) as exc:
+        cli.main(register_args(cli_ws, tmp_path / "r.json", "--sampler", "urs",
+                               "--rotation-scale", "7"))
+    assert exc.value.code == 2
+
+
 def test_register_config_file_then_flags_precedence(cli_ws, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -410,9 +437,11 @@ def test_register_config_file_then_flags_precedence(cli_ws, tmp_path):
 
 def test_register_rejects_unknown_config_key(cli_ws, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    # the trust-region update factors are fixed in the optimizer, not settings
+    # the trust-region update factors are fixed in the optimizer, and the
+    # rotation scale follows from the fixed volume: none of them is a setting
     for key, value in (("bogus", 1), ("expand", 2.0), ("shrink", 0.25),
-                       ("accept_low", 0.25), ("accept_high", 0.75)):
+                       ("accept_low", 0.25), ("accept_high", 0.75),
+                       ("rotation_scale", 7.0), ("rotation_scale", None)):
         cfg_path.write_text(json.dumps({key: value}))
         rc = cli.main(register_args(
             cli_ws, tmp_path / "r.json", "--sampler", "urs", "--config", str(cfg_path),
@@ -426,7 +455,7 @@ def test_register_rejects_unknown_config_key(cli_ws, tmp_path, capsys):
     ("register", {"num_bins": "x"}, "num_bins"),
     ("register", {"max_iters": 2.5}, "max_iters"),
     ("register", {"seed": True}, "seed"),
-    ("register", {"rotation_scale": "wide"}, "rotation_scale"),
+    ("register", {"damping": "wide"}, "damping"),
     ("mask", {"num_bins": "x"}, "num_bins"),
     ("mask", {"rate": "0.1"}, "rate"),
     ("mask", {"sampler": 3}, "sampler"),
@@ -444,15 +473,16 @@ def test_config_value_of_the_wrong_type_is_usage_error(cli_ws, tmp_path, capsys,
     assert "--config" in err and key in err
 
 
-def test_config_takes_integral_floats_and_null_rotation_scale(cli_ws, tmp_path):
+def test_config_takes_integral_floats(cli_ws, tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"rate": 1, "initial_radius": 2, "rotation_scale": None,
+    cfg_path.write_text(json.dumps({"rate": 1, "initial_radius": 2,
                                     "max_iters": 1, "num_levels": 2}))
     out = tmp_path / "result.json"
     rc = cli.main(register_args(cli_ws, out, "--sampler", "urs", "--config", str(cfg_path)))
     assert rc == 0
     cfg = json.loads(out.read_text())["config"]
-    assert (cfg["rate"], cfg["initial_radius"], cfg["rotation_scale"]) == (1, 2, None)
+    assert (cfg["rate"], cfg["initial_radius"]) == (1, 2)
+    assert "rotation_scale" not in cfg
 
 
 def test_config_that_is_not_an_object_is_usage_error(cli_ws, tmp_path, capsys):
@@ -567,6 +597,22 @@ def test_train_rejects_entry_missing_key(cli_ws, tmp_path, capsys):
                    "--out", str(tmp_path / "betas.json")])
     assert rc == 2
     assert "entry 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_manifest_gold_file_that_is_not_an_object_is_usage_error(cli_ws, tmp_path, capsys,
+                                                                 command):
+    (tmp_path / "gold.json").write_text("[1, 2]")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"fixed": str(cli_ws / "fixed.rvol"),
+                                 "moving": str(cli_ws / "moving.rvol"), "gold": "gold.json"}]))
+    out = tmp_path / "out"
+    extra = {"train": [], "sweep": ["--samplers", "urs"]}[command]
+    rc = cli.main([command, "--pairs", str(path), "--out", str(out), *extra])
+    assert rc == 2
+    assert "--pairs: entry 0: gold file gold.json must hold a JSON object" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_train_rejects_bad_mc(manifest, tmp_path, capsys):

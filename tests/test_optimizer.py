@@ -34,7 +34,6 @@ def test_config_defaults():
     assert cfg.initial_radius == 1.0
     assert cfg.min_radius == 1e-3
     assert cfg.damping == 1e-8
-    assert cfg.rotation_scale is None
     assert (optimizer._EXPAND, optimizer._SHRINK) == (2.0, 0.25)
     assert (optimizer._ACCEPT_LOW, optimizer._ACCEPT_HIGH) == (0.25, 0.75)
 
@@ -44,6 +43,16 @@ def test_config_validation():
         OptimizerConfig(min_radius=2.0, initial_radius=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=-1)
+
+
+@pytest.mark.parametrize("settings, field", [
+    ({"damping": np.nan}, "damping"),
+    ({"damping": np.inf}, "damping"),
+    ({"initial_radius": np.inf}, "initial_radius"),
+])
+def test_config_rejects_non_finite_trust_region_settings(settings, field):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**settings)
 
 
 def test_config_rejects_histogram_settings_the_metric_cannot_use():
@@ -96,15 +105,13 @@ def test_stationary_needs_a_full_window_of_interior_steps(monkeypatch):
 def level_setup(pair32, rate=0.05):
     fixed, moving, gold = pair32
     dist = sampler.build_urs(fixed.num_voxels, rate * fixed.num_voxels, level=1)
-    lo, hi = fixed.bounds
-    rs = 0.5 * float(np.linalg.norm(hi - lo))
-    return fixed, moving, gold, dist, rs
+    return fixed, moving, gold, dist
 
 
 def test_zero_iterations_returns_start(pair32):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     start = transform.RigidParams(t=(1, 1, 1), center=fixed.center_mm)
-    cfg = OptimizerConfig(num_bins=16, max_iters=0, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=0)
     params, trace = optimizer.optimize_level(
         fixed, moving, dist, start, cfg, make_rng(0)
     )
@@ -114,13 +121,13 @@ def test_zero_iterations_returns_start(pair32):
 
 
 def test_level_optimization_improves_alignment(pair32):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     start = gold  # exact start, then nudge 1.5mm off
     start = transform.RigidParams(
         t=gold.t + np.array([1.5, 0, 0]), r=gold.r, center=gold.center
     )
     cfg = OptimizerConfig(
-        num_bins=32, max_iters=60, rotation_scale=rs, min_radius=0.02
+        num_bins=32, max_iters=60, min_radius=0.02
     )
     params, trace = optimizer.optimize_level(
         fixed, moving, dist, start, cfg, make_rng(1)
@@ -131,9 +138,9 @@ def test_level_optimization_improves_alignment(pair32):
 
 
 def test_accepted_steps_improve_the_shared_draw_value(pair32):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     start = transform.RigidParams(t=(2, -1, 1), center=fixed.center_mm)
-    cfg = OptimizerConfig(num_bins=16, max_iters=25, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=25)
     _, trace = optimizer.optimize_level(
         fixed, moving, dist, start, cfg, make_rng(2)
     )
@@ -145,9 +152,9 @@ def test_accepted_steps_improve_the_shared_draw_value(pair32):
 
 
 def test_trace_rows_record_draw_and_radius(pair32):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     start = transform.RigidParams(t=(1, 0, 0), center=fixed.center_mm)
-    cfg = OptimizerConfig(num_bins=16, max_iters=5, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=5)
     _, trace = optimizer.optimize_level(
         fixed, moving, dist, start, cfg, make_rng(3)
     )
@@ -159,11 +166,10 @@ def test_trace_rows_record_draw_and_radius(pair32):
 
 
 def test_radius_collapse_terminates(pair32):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     # at the optimum most proposals fail, so the radius shrinks immediately
     cfg = OptimizerConfig(
         num_bins=16, max_iters=500, initial_radius=1.0, min_radius=0.5,
-        rotation_scale=rs,
     )
     _, trace = optimizer.optimize_level(
         fixed, moving, dist, gold, cfg, make_rng(4)
@@ -173,9 +179,9 @@ def test_radius_collapse_terminates(pair32):
 
 
 def test_optimize_level_is_seed_deterministic(pair32):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     start = transform.RigidParams(t=(1.5, -1, 0.5), center=fixed.center_mm)
-    cfg = OptimizerConfig(num_bins=16, max_iters=15, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=15)
     p1, t1 = optimizer.optimize_level(
         fixed, moving, dist, start, cfg, make_rng(9, 1)
     )
@@ -188,7 +194,7 @@ def test_optimize_level_is_seed_deterministic(pair32):
 
 def test_a_level_runs_on_a_singular_curvature(pair32, monkeypatch):
     # one retained sample and no damping leave the curvature singular
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     centre = np.array([16 + 32 * (16 + 32 * 16)])
     monkeypatch.setattr(sampler, "draw", lambda d, rng: centre)
     fallbacks = []
@@ -199,14 +205,14 @@ def test_a_level_runs_on_a_singular_curvature(pair32, monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    cfg = OptimizerConfig(num_bins=16, max_iters=3, damping=0.0, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=3, damping=0.0)
     _, trace = optimizer.optimize_level(fixed, moving, dist, gold, cfg, make_rng(5))
     assert len(fallbacks) == len(trace["rows"]) == 3
     assert all(row["sample_size"] - row["escaped"] == 1 for row in trace["rows"])
 
 
 def test_a_trial_whose_samples_all_escape_is_rejected_and_cuts_the_radius(pair32, monkeypatch):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     metric_value = similarity.metric_value
 
     def far_trial(fixed, moving, params, *args):
@@ -215,7 +221,7 @@ def test_a_trial_whose_samples_all_escape_is_rejected_and_cuts_the_radius(pair32
         return metric_value(fixed, moving, far, *args)
 
     monkeypatch.setattr(similarity, "metric_value", far_trial)
-    cfg = OptimizerConfig(num_bins=16, max_iters=3, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=3)
     params, trace = optimizer.optimize_level(fixed, moving, dist, gold, cfg, make_rng(3))
     assert params is gold
     rows = trace["rows"]
@@ -233,7 +239,7 @@ def test_a_trial_whose_samples_all_escape_is_rejected_and_cuts_the_radius(pair32
 ])
 def test_a_non_finite_metric_derivative_raises_naming_the_iteration(pair32, monkeypatch,
                                                                      which, fields):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
+    fixed, moving, gold, dist = level_setup(pair32)
     evaluate = similarity.evaluate
     calls = []
 
@@ -242,17 +248,26 @@ def test_a_non_finite_metric_derivative_raises_naming_the_iteration(pair32, monk
         return calls[-1] if len(calls) < 3 else replace(calls[-1], **fields)
 
     monkeypatch.setattr(similarity, "evaluate", spoiled)
-    cfg = OptimizerConfig(num_bins=16, max_iters=5, rotation_scale=rs)
+    cfg = OptimizerConfig(num_bins=16, max_iters=5)
     with pytest.raises(ValueError, match=f"iteration 2: the metric's {which} is not finite"):
         optimizer.optimize_level(fixed, moving, dist, gold, cfg, make_rng(3))
 
 
-def test_optimize_level_requires_resolved_rotation_scale(pair32):
-    fixed, moving, gold, dist, rs = level_setup(pair32)
-    with pytest.raises(ValueError):
-        optimizer.optimize_level(
-            fixed, moving, dist, gold, OptimizerConfig(), make_rng(0)
-        )
+def test_a_radian_costs_half_the_full_resolution_fixed_diagonal(pair32):
+    # a step's scaled norm weighs its rotation by the full pair's half diagonal,
+    # which is the level's own pair unless ``full`` names another
+    fixed, moving, gold, dist = level_setup(pair32)
+    wide = Volume(fixed.data, spacing=(3.0, 2.0, 1.0), origin=(-5.0, 0.0, 5.0))
+    start = transform.RigidParams(t=gold.t + 1.0, r=gold.r + 0.03, center=gold.center)
+    cfg = OptimizerConfig(max_iters=1)
+    for full, scaled_by in ((None, fixed), ((fixed, moving), fixed), ((wide, moving), wide)):
+        params, trace = optimizer.optimize_level(fixed, moving, dist, start, cfg,
+                                                 make_rng(7), full)
+        lo, hi = scaled_by.bounds
+        step = params.as_vector() - start.as_vector()
+        step[3:] *= 0.5 * np.linalg.norm(hi - lo)
+        assert trace["rows"][0]["accepted"]
+        assert np.linalg.norm(step) == pytest.approx(trace["rows"][0]["step_norm_scaled"])
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +321,17 @@ def test_register_resolves_rotation_scale_and_start_from_the_fixed_volume(pair32
     handed = []
     real = optimizer.optimize_level
 
-    def spy(fixed_r, moving_r, dist, params0, cfg, rng, fixed_range, moving_range):
-        handed.append((params0, cfg, fixed_range, moving_range))
-        return real(fixed_r, moving_r, dist, params0, cfg, rng, fixed_range, moving_range)
+    def spy(fixed_r, moving_r, dist, params0, cfg, rng, full):
+        handed.append((params0, full))
+        return real(fixed_r, moving_r, dist, params0, cfg, rng, full)
 
     monkeypatch.setattr(optimizer, "optimize_level", spy)
-    lo, hi = fixed.bounds
-    for cfg, scale in ((OptimizerConfig(max_iters=1), 0.5 * np.linalg.norm(hi - lo)),
-                       (OptimizerConfig(max_iters=1, rotation_scale=7.0), 7.0)):
-        handed.clear()
-        optimizer.register(fixed, moving, sampler_kind="urs", rate=0.01, cfg=cfg)
-        assert [c.rotation_scale for _, c, _, _ in handed] == [pytest.approx(scale)] * 4
-        np.testing.assert_array_equal(handed[0][0].center, fixed.center_mm)
-        # every level bins on the full-resolution ranges, not its own
-        assert {(f, m) for _, _, f, m in handed} == {
-            (fixed.intensity_range, moving.intensity_range)}
+    optimizer.register(fixed, moving, sampler_kind="urs", rate=0.01,
+                       cfg=OptimizerConfig(max_iters=1))
+    np.testing.assert_array_equal(handed[0][0].center, fixed.center_mm)
+    # every level takes its bin ranges and rotation scale from the full-resolution pair
+    assert len(handed) == 4
+    assert all(full[0] is fixed and full[1] is moving for _, full in handed)
 
 
 def test_register_refuses_a_pair_other_than_the_prepared_one(pair32):
@@ -499,8 +510,6 @@ def test_failed_register_starts_no_thread(phantom32):
 def in_line_cascade(fixed, moving, kind, rate, cfg, seed, betas=None):
     """The cascade run level by level through optimize_level, drawing in line."""
     prepared = optimizer.prepare(fixed, moving)
-    lo, hi = fixed.bounds
-    cfg = replace(cfg, rotation_scale=0.5 * float(np.linalg.norm(hi - lo)))
     m = sampler.budget(rate, fixed.num_voxels)
     params = transform.RigidParams.identity(fixed.center_mm)
     levels = []
@@ -511,8 +520,7 @@ def in_line_cascade(fixed, moving, kind, rate, cfg, seed, betas=None):
         )
         params, trace = optimizer.optimize_level(
             prepared.fixed_pyramid.level(r), prepared.moving_pyramid.level(r),
-            dist, params, cfg, make_rng(seed, optimizer._LEVEL_STREAM, r),
-            fixed.intensity_range, moving.intensity_range,
+            dist, params, cfg, make_rng(seed, optimizer._LEVEL_STREAM, r), (fixed, moving),
         )
         levels.append((params.to_dict(), trace))
     return levels

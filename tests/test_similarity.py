@@ -214,7 +214,7 @@ def test_integer_shift_of_periodic_pattern_reproduces_histogram():
     def hist(moving, params):
         level = similarity.Level(fixed, moving, 16, 2, f_range, f_range)
         return similarity.accumulate(fixed, moving, params, similarity.FixedSide(level, idx),
-                                     num_bins=16, fixed_range=f_range)
+                                     num_bins=16)
 
     np.testing.assert_allclose(hist(moving, shift).bins, hist(fixed, ident).bins, atol=1e-9)
 
@@ -251,10 +251,7 @@ def test_escape_rule_counts_boundary_samples(phantom32):
 
 def make_hist(bins):
     bins = np.asarray(bins, dtype=np.float64)
-    return JointHistogram(
-        bins=bins, total_weight=float(bins.sum()), escaped=0,
-        num_bins=bins.shape[0],
-    )
+    return JointHistogram(bins=bins, escaped=0)
 
 
 def test_nmi_diagonal_histogram_is_two():
@@ -545,9 +542,8 @@ def test_a_fixed_side_must_belong_to_the_volumes_and_settings(pair32):
     np.testing.assert_array_equal(
         h.bins, similarity.accumulate(fixed, moving, params, idx).bins
     )
-    for args in ((fixed, copy, 16, 2, None), (copy, moving, 16, 2, None),
-                 (fixed, moving, 8, 2, None), (fixed, moving, 16, 1, None),
-                 (fixed, moving, 16, 2, (0.0, 1.0))):
+    for args in ((fixed, copy, 16, 2), (copy, moving, 16, 2),
+                 (fixed, moving, 8, 2), (fixed, moving, 16, 1)):
         with pytest.raises(ValueError, match="other volumes or settings"):
             similarity.evaluate(args[0], args[1], params, side, *args[2:])
 
@@ -663,7 +659,7 @@ def reference_pass(fixed, moving, params, idx, num_bins, radius):
             terms.append((fbin, moving_bin[x, y, z], share[:, None] * dw))
     if not ref.any():
         return ref, None, None
-    hist = JointHistogram(bins=ref, total_weight=float(ref.sum()), escaped=0, num_bins=num_bins)
+    hist = JointHistogram(bins=ref, escaped=0)
     _, dnmi = similarity._nmi_and_cell_derivative(hist)
     gc = sum(dnmi[fbin, mbin][:, None] * dshare for fbin, mbin, dshare in terms)
     gs = np.einsum("sa,sak->sk", gc / moving.spacing, transform.jacobian_many(params, pts))

@@ -547,6 +547,29 @@ def test_train_cascade_names_a_pair_it_cannot_prepare():
         )
 
 
+class _TwoArgumentError(Exception):
+    """Built from two arguments, as numpy's out-of-memory error is."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(f"cannot allocate {shape} of {dtype}")
+
+
+def test_registrations_let_a_preparation_failure_other_than_bad_input_through(monkeypatch):
+    failure = _TwoArgumentError((10**13,), "float64")
+    prepare = optimizer.prepare
+
+    def failing(fixed, moving, num_levels):
+        if fixed is pairs[1].fixed:
+            raise failure
+        return prepare(fixed, moving, num_levels)
+
+    pairs = [tiny_pair(19), tiny_pair(20)]
+    monkeypatch.setattr(optimizer, "prepare", failing)
+    with pytest.raises(_TwoArgumentError) as exc:
+        training.Registrations(pairs, 2, optimizer.OptimizerConfig())
+    assert exc.value is failure
+
+
 def test_train_cascade_rejects_empty_pairs():
     with pytest.raises(ValueError):
         training.train_cascade(

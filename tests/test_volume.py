@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ramp_volume
@@ -47,6 +47,18 @@ def test_volume_rejects_bad_inputs():
     bad[1, 2, 3] = np.inf
     with pytest.raises(ValueError):
         Volume(data=bad)
+
+
+@pytest.mark.parametrize("geometry, field", [
+    ({"spacing": (np.nan, 1, 1)}, "spacing"),
+    ({"spacing": (1, np.inf, 1)}, "spacing"),
+    ({"origin": (0, 0, np.inf)}, "origin"),
+    ({"origin": (np.nan, 0, 0)}, "origin"),
+])
+def test_volume_rejects_non_finite_geometry(geometry, field):
+    # the file loaders reject these too, so no loaded volume can carry them
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Volume(data=np.zeros((4, 4, 4)), **geometry)
 
 
 def test_intensity_range_and_geometry():
@@ -402,6 +414,8 @@ _EDIT_VALUES = st.one_of(st.sampled_from(b"-0129.,e[]\x00\x01\x7f\x80\xff"), st.
     cut=st.one_of(st.none(), st.integers(min_value=0, max_value=470)),
     edits=st.lists(st.tuples(_EDIT_POSITIONS, _EDIT_VALUES), max_size=4),
 )
+# a payload word 0000a07f: a signalling NaN, whose cast must not warn first
+@example(kind="nifti", cut=None, edits=[(375, 127)])
 def test_damaged_files_load_or_raise_format_error(tmp_path, kind, cut, edits):
     """A truncated or byte-edited file loads or raises VolumeFormatError."""
     buf = bytearray(_valid_volume_file(kind))

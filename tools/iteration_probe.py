@@ -5,7 +5,10 @@ identity start.  For each M, one iteration's time is a K = 10 iteration
 ``optimizer.optimize_level`` call minus a zero-iteration call on the same
 inputs (which leaves the level's per-call set-up), divided by the
 iterations that ran.  The script reaches the library only through
-``optimize_level``, so the same file times any checkout's ``src/``:
+``optimize_level``, so the same file times the ``src/`` of any checkout
+whose ``optimize_level`` takes the full-resolution pair as its seventh
+argument (every commit since that signature replaced separate intensity
+ranges and the ``rotation_scale`` setting):
 
     python3 tools/iteration_probe.py                  # this checkout's src/
     python3 tools/iteration_probe.py --src ../other/src
@@ -47,7 +50,6 @@ def main(argv=None) -> int:
     gold = bench.random_rigid(fixed, make_rng(SEED, 1))
     moving, _ = bench.make_moving(fixed, gold, noise_sd=0.02, seed=SEED + 1)
     prepared = optimizer.prepare(fixed, moving, num_levels=1)
-    lo, hi = fixed.bounds
     start = RigidParams.identity(fixed.center_mm)
     print(f"sampreg from {Path(sys.modules['sampreg'].__file__).parent}")
     print(f"{size}-cube, level 1, mixed beta={BETA}, K={iters}, median of {repeats}")
@@ -57,12 +59,10 @@ def main(argv=None) -> int:
                                 prepared.gradient_sources[0], BETA, level=1)
 
         def run(k):
-            cfg = optimizer.OptimizerConfig(
-                max_iters=k, rotation_scale=0.5 * float(((hi - lo) ** 2).sum() ** 0.5))
+            cfg = optimizer.OptimizerConfig(max_iters=k)
             t0 = time.perf_counter()
             _, trace = optimizer.optimize_level(
-                fixed, moving, dist, start, cfg, make_rng(SEED, 2, m),
-                fixed.intensity_range, moving.intensity_range)
+                fixed, moving, dist, start, cfg, make_rng(SEED, 2, m), (fixed, moving))
             return time.perf_counter() - t0, trace["rows"]
 
         run(iters)  # warm-up
